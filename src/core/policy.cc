@@ -60,6 +60,7 @@ CheckpointPlan IncrementalPolicy::Plan(std::uint64_t checkpoint_id, DirtySets in
   if (have_baseline_ && checkpoint_id <= last_checkpoint_id_) {
     throw std::invalid_argument("IncrementalPolicy: checkpoint ids must increase");
   }
+  const std::uint64_t previous_id = last_checkpoint_id_;
   last_checkpoint_id_ = checkpoint_id;
 
   CheckpointPlan plan;
@@ -94,8 +95,10 @@ CheckpointPlan IncrementalPolicy::Plan(std::uint64_t checkpoint_id, DirtySets in
     }
     case PolicyKind::kConsecutive: {
       plan.kind = storage::CheckpointKind::kIncremental;
-      // Chain to the immediately preceding checkpoint.
-      plan.parent_id = checkpoint_id - 1;
+      // Chain to the checkpoint this policy planned last. Ids need not be
+      // consecutive: a sharded job numbers every shard's sub-checkpoints
+      // from one counter, so id - 1 is another shard's.
+      plan.parent_id = previous_id;
       plan.rows = std::move(interval_dirty);
       history_.push_back(static_cast<double>(CountDirtyRows(plan.rows)) /
                          static_cast<double>(total_rows_));

@@ -30,6 +30,9 @@ using util::MutexLock;
 // concurrent workers of the same stage are atomic.
 struct Inflight {
   std::shared_ptr<JobState> job;
+  // Members of this checkpoint's admission unit still holding its grant
+  // (shared by the members); the last to release returns the grant.
+  std::shared_ptr<std::atomic<std::size_t>> grant_holders;
   std::uint64_t seq = 0;  // per-job submission order; drives in-order commit
   CheckpointRequest req;
   ModelSnapshot snap;
@@ -75,7 +78,7 @@ struct JobState {
   JobConfig cfg;
 
   // --- guarded by ServiceImpl::mu_ ---
-  std::size_t admitted = 0;    // admission slots held
+  std::size_t admitted = 0;    // admission units holding a per-job slot
   std::size_t outstanding = 0; // submitted, not yet committed/failed
   std::uint64_t next_seq = 0;
   JobStats stats;
@@ -210,41 +213,39 @@ struct ServiceImpl {
 
   // ------------------------------------------------------------ admission --
 
-  std::future<WriteResult> Submit(const std::shared_ptr<JobState>& job,
-                                  CheckpointRequest request) {
-    if (!request.snapshot_fn) {
-      throw std::invalid_argument("CheckpointService::Submit: no snapshot_fn");
-    }
-    auto ckpt = std::make_shared<Inflight>();
-    ckpt->job = job;
-    ckpt->req = std::move(request);
-    auto future = ckpt->promise.get_future();
-
+  std::vector<std::future<WriteResult>> SubmitUnit(const std::shared_ptr<JobState>& job,
+                                                   const UnitThunk& thunk) {
     // Admission: the overlap policy. With a per-job cap of 1 (and slot
     // release at commit) this wait IS the §4.3 non-overlap rule for the job;
-    // the service-wide cap bounds snapshot memory across all jobs.
+    // the service-wide cap bounds snapshot memory across all jobs. Until the
+    // thunk says how many members the unit has, it counts as one
+    // outstanding checkpoint, so a Shutdown waits for it.
     {
       MutexLock lock(mu_);
+      ++admission_waiters;
       while (!stopping && !(total_admitted < cfg.max_inflight_checkpoints &&
                             job->admitted < job->cfg.max_inflight_checkpoints)) {
         admit_cv_.Wait(mu_);
       }
+      --admission_waiters;
       if (stopping) throw std::runtime_error("CheckpointService: stopped");
       ++total_admitted;
+      admitted_peak = std::max(admitted_peak, total_admitted);
       ++total_outstanding;
       ++job->admitted;
       ++job->outstanding;
-      ++job->stats.submitted;
     }
 
     // Snapshot stage: runs on the submitting (trainer) thread — this is the
     // training stall of §4.2, and the only work the trainer ever does for
-    // the checkpoint.
+    // the unit.
+    std::vector<UnitMember> members;
+    const auto t0 = std::chrono::steady_clock::now();
     try {
-      const auto t0 = std::chrono::steady_clock::now();
-      ckpt->snap = ckpt->req.snapshot_fn();
-      ckpt->snapshot_us = ElapsedUs(t0);
-      ckpt->submit_time = t0;
+      members = thunk();
+      if (members.empty()) {
+        throw std::invalid_argument("CheckpointService::SubmitUnit: the unit has no members");
+      }
     } catch (...) {
       {
         MutexLock lock(mu_);
@@ -252,30 +253,62 @@ struct ServiceImpl {
         --total_outstanding;
         --job->admitted;
         --job->outstanding;
-        --job->stats.submitted;
       }
       admit_cv_.NotifyAll();
       throw;
     }
+    const std::uint64_t snapshot_us = ElapsedUs(t0);
 
+    auto grant_holders = std::make_shared<std::atomic<std::size_t>>(members.size());
+    std::vector<std::shared_ptr<Inflight>> ckpts;
+    std::vector<std::future<WriteResult>> futures;
+    ckpts.reserve(members.size());
+    futures.reserve(members.size());
+    for (UnitMember& member : members) {
+      auto ckpt = std::make_shared<Inflight>();
+      ckpt->job = job;
+      ckpt->grant_holders = grant_holders;
+      ckpt->req = std::move(member.request);
+      ckpt->snap = std::move(member.snapshot);
+      ckpt->snapshot_us = snapshot_us;
+      ckpt->submit_time = t0;
+      futures.push_back(ckpt->promise.get_future());
+      ckpts.push_back(std::move(ckpt));
+    }
     {
       MutexLock lock(mu_);
-      ckpt->seq = job->next_seq++;
+      // The unit's placeholder becomes one outstanding count per member.
+      total_outstanding += ckpts.size() - 1;
+      job->outstanding += ckpts.size() - 1;
+      job->stats.submitted += ckpts.size();
+      for (const auto& ckpt : ckpts) ckpt->seq = job->next_seq++;
     }
-    plan_lane.Push(PlanJob{std::move(ckpt)});
-    exec.Submit(plan_stage);
-    return future;
+    for (auto& ckpt : ckpts) plan_lane.Push(PlanJob{std::move(ckpt)});
+    exec.Submit(plan_stage, futures.size());
+    return futures;
   }
 
-  // Returns the checkpoint's admission slot; safe to call more than once.
+  // Releases the checkpoint's hold on its unit's grant; safe to call more
+  // than once. The last member to release returns the grant.
   void ReleaseSlot(Inflight& ckpt) {
     if (ckpt.slot_released.exchange(true)) return;
+    if (ckpt.grant_holders->fetch_sub(1, std::memory_order_acq_rel) != 1) return;
     {
       MutexLock lock(mu_);
       --total_admitted;
       --ckpt.job->admitted;
     }
     admit_cv_.NotifyAll();
+  }
+
+  // Every chunk of the checkpoint is stored: the encoders are done with the
+  // snapshot's rows (and the tasks pointing into them) and the commit needs
+  // only the dense blob, so the rows are freed as the member releases. A
+  // unit's model copy never outlives its grant in either release mode.
+  void ReleaseStored(Inflight& ckpt) {
+    ckpt.tasks = {};
+    ckpt.snap.shards = {};
+    ReleaseSlot(ckpt);
   }
 
   // ------------------------------------------------------------ scheduler --
@@ -410,7 +443,7 @@ struct ServiceImpl {
     if (ckpt->tasks.empty()) {
       // Nothing dirty this interval: the checkpoint is dense blob +
       // manifest, and trivially "all chunks stored".
-      if (cfg.release_slot_on_stored) ReleaseSlot(*ckpt);
+      if (cfg.release_slot_on_stored) ReleaseStored(*ckpt);
       PushCommit(ckpt);
       return true;
     }
@@ -502,7 +535,7 @@ struct ServiceImpl {
       // next snapshot's critical path. Failed checkpoints keep their slot
       // until the commit stage retires them.
       if (cfg.release_slot_on_stored && !ckpt->error.Failed()) {
-        ReleaseSlot(*ckpt);
+        ReleaseStored(*ckpt);
       }
       PushCommit(ckpt);
     }
@@ -684,8 +717,10 @@ struct ServiceImpl {
   // this struct, across an object boundary the analysis cannot express.
   mutable util::Mutex mu_;
   util::CondVar admit_cv_;
-  std::size_t total_admitted GUARDED_BY(mu_) = 0;
-  std::size_t total_outstanding GUARDED_BY(mu_) = 0;
+  std::size_t total_admitted GUARDED_BY(mu_) = 0;  // grants held (units)
+  std::size_t admitted_peak GUARDED_BY(mu_) = 0;
+  std::size_t admission_waiters GUARDED_BY(mu_) = 0;
+  std::size_t total_outstanding GUARDED_BY(mu_) = 0;  // checkpoints
   bool stopping GUARDED_BY(mu_) = false;
   std::vector<std::shared_ptr<JobState>> all_jobs GUARDED_BY(mu_);
 
@@ -736,7 +771,20 @@ JobHandle::~JobHandle() {
 const std::string& JobHandle::name() const { return job_->cfg.name; }
 
 std::future<WriteResult> JobHandle::SubmitRaw(CheckpointRequest request) {
-  return impl_->Submit(job_, std::move(request));
+  if (!request.snapshot_fn) {
+    throw std::invalid_argument("CheckpointService::Submit: no snapshot_fn");
+  }
+  auto futures = SubmitUnit([&request] {
+    std::vector<UnitMember> members(1);
+    members[0].snapshot = request.snapshot_fn();
+    members[0].request = std::move(request);
+    return members;
+  });
+  return std::move(futures.front());
+}
+
+std::vector<std::future<WriteResult>> JobHandle::SubmitUnit(const UnitThunk& thunk) {
+  return impl_->SubmitUnit(job_, thunk);
 }
 
 std::unique_ptr<DeltaLog> JobHandle::OpenDeltaLog(DeltaLogConfig config) {
@@ -952,6 +1000,9 @@ ServiceStats CheckpointService::stats() const {
   {
     detail::MutexLock lock(impl_->mu_);
     stats.inflight = impl_->total_outstanding;
+    stats.admitted = impl_->total_admitted;
+    stats.admitted_peak = impl_->admitted_peak;
+    stats.admission_waiters = impl_->admission_waiters;
     stats.store_bytes = impl_->accounting->TrackedBytes();
     for (const auto& job : impl_->all_jobs) {
       JobStats js = job->stats;

@@ -19,7 +19,9 @@
 //   ├── chunk scheduler    weighted round-robin across jobs, per-job
 //   │                      encoded-chunk budget (queue_capacity)
 //   ├── admission gate     service-wide max_inflight_checkpoints plus a
-//   │                      per-job cap (JobConfig::max_inflight_checkpoints)
+//   │                      per-job cap (JobConfig::max_inflight_checkpoints),
+//   │                      both counted in admission units: one checkpoint,
+//   │                      or one coordinated cut however many shards it has
 //   ├── storage view       RetryingStore → AccountingStore → caller's store
 //   │                      (one retry policy, per-job occupancy accounting,
 //   │                       optional shared quota)
@@ -49,12 +51,23 @@
 // per-job — an incremental whose parent failed in flight fails with it.
 // Jobs never wait on each other's commits.
 //
-// Admission-slot release: by default (release_slot_on_stored) a checkpoint
-// returns its admission slot as soon as its last chunk is stored, so the
-// next snapshot overlaps the dense+manifest publication tail; commits still
-// land in order. Set it to false for the strict mode where the slot is held
-// until the manifest is published — the paper's §4.3 non-overlap when
-// max_inflight_checkpoints is 1 (what the CheckpointPipeline facade uses).
+// Admission: every submission is an admission unit of N checkpoints that
+// share one snapshot — N = 1 for Submit/SubmitRaw, one member per shard for
+// a coordinated cut (JobHandle::SubmitUnit). A unit takes one service-wide
+// grant and one per-job slot, runs its snapshot thunk once on the calling
+// thread after the grant, and returns the grant when its last member
+// releases it. Every unit takes exactly one whole-model snapshot copy and
+// holds its rows only while it holds the grant, so the caps bound snapshot
+// memory.
+//
+// Admission-slot release: by default (release_slot_on_stored) a member
+// releases as soon as its last chunk is stored, freeing its snapshot rows
+// (only the small dense blob waits for the commit), so the next snapshot
+// overlaps the dense+manifest publication tail; commits still land in
+// order. A failed member releases when the commit stage retires it. Set it
+// to false for the strict mode where the slot is held until the manifest is
+// published — the paper's §4.3 non-overlap when max_inflight_checkpoints is
+// 1 (what the CheckpointPipeline facade uses).
 #pragma once
 
 #include <chrono>
@@ -113,6 +126,18 @@ struct CheckpointRequest {
   std::function<void()> post_commit;
 };
 
+// One member of an admission unit, built by the unit's thunk once the unit
+// is admitted: the checkpoint to write (its snapshot_fn is not used) and the
+// slice of the unit's snapshot it stores.
+struct UnitMember {
+  CheckpointRequest request;
+  ModelSnapshot snapshot;
+};
+
+// Runs on the submitting thread after the unit's grant: takes the unit's one
+// snapshot and returns its members. The trainer is stalled for this call.
+using UnitThunk = std::function<std::vector<UnitMember>()>;
+
 struct ServiceConfig {
   // Starting worker allotments of the encode and store stages on the shared
   // stage runtime. With executor.auto_tune (default on) the controller
@@ -129,14 +154,18 @@ struct ServiceConfig {
   // propagates store backpressure to that job's encoders without letting the
   // job block anyone else's.
   std::size_t queue_capacity = 16;
-  // Service-wide bound on concurrently admitted checkpoint writes (snapshot
-  // memory across all jobs). Per-job overlap is bounded separately by
+  // Service-wide bound on concurrently admitted units across all jobs. Each
+  // unit holds one whole-model snapshot copy while it holds its grant (a
+  // full or incremental checkpoint, or a coordinated cut — which counts once
+  // however many shard members it has), so this caps snapshot memory at this
+  // many model copies, plus the dense blobs of stored checkpoints awaiting
+  // their commit. Per-job overlap is bounded separately by
   // JobConfig::max_inflight_checkpoints.
   std::size_t max_inflight_checkpoints = 4;
   // Return a checkpoint's admission slot when its last chunk is stored
-  // (pre-commit) instead of when its manifest is published. Shaves the
-  // dense+manifest tail off the next snapshot's critical path; commit order
-  // is unaffected.
+  // (pre-commit) instead of when its manifest is published, freeing its
+  // snapshot rows then. Shaves the dense+manifest tail off the next
+  // snapshot's critical path; commit order is unaffected.
   bool release_slot_on_stored = true;
   // Attempts per Put before a checkpoint is abandoned (RetryingStore depth).
   int put_attempts = 3;
@@ -189,8 +218,9 @@ struct JobConfig {
   // jobs (>= 1). A job with weight 2 gets two chunks scheduled per round for
   // every one of a weight-1 job.
   std::uint32_t weight = 1;
-  // Per-job overlap cap: how many of this job's checkpoint writes may be in
-  // flight at once. 1 is the paper's strict §4.3 non-overlap for this job.
+  // Per-job overlap cap: how many of this job's admission units (checkpoint
+  // writes, or coordinated cuts) may be in flight at once. 1 is the paper's
+  // strict §4.3 non-overlap for this job.
   std::size_t max_inflight_checkpoints = 1;
 
   PolicyKind policy = PolicyKind::kIntermittent;
@@ -272,7 +302,13 @@ struct JobStats {
 };
 
 struct ServiceStats {
-  std::size_t inflight = 0;        // across all jobs
+  std::size_t inflight = 0;        // checkpoints across all jobs
+  // Admission (ServiceConfig::max_inflight_checkpoints): units holding a
+  // service-wide grant now, the most ever held at once (never above the
+  // cap), and submitters blocked waiting for a grant or a per-job slot.
+  std::size_t admitted = 0;
+  std::size_t admitted_peak = 0;
+  std::size_t admission_waiters = 0;
   std::uint64_t store_bytes = 0;   // tracked occupancy across all jobs
   std::uint64_t quota_bytes = 0;   // 0 = unlimited
   // The stage runtime's live view: per-stage worker allotment, occupancy,
@@ -329,8 +365,17 @@ class JobHandle {
   SubmittedCheckpoint Submit(IntervalSubmission submission);
 
   // Raw path: submits a fully built request, bypassing the handle's policy,
-  // numbering, and quant selection. Same admission gate and ordering rules.
+  // numbering, and quant selection. A unit of one member whose thunk is
+  // request.snapshot_fn.
   std::future<WriteResult> SubmitRaw(CheckpointRequest request);
+
+  // The one admission path. Blocks until the service grants the unit (one
+  // service-wide grant, one per-job slot), runs `thunk` once on the calling
+  // thread, and submits every member it returns in order; the futures
+  // match the members. The grant returns when the last member has stored
+  // all its chunks (or failed). If the thunk throws or returns no members,
+  // nothing is submitted, the grant returns, and the call throws.
+  std::vector<std::future<WriteResult>> SubmitUnit(const UnitThunk& thunk);
 
   // Opens a per-iteration delta-log stream for this job (core/delta_log.h)
   // on the service's resources: segments encode and store on the shared

@@ -151,9 +151,6 @@ ShardedJobHandle::ShardedJobHandle(CheckpointService& service, dlrm::DlrmModel& 
   JobConfig jc;
   jc.name = cfg_.name;
   jc.weight = cfg_.weight;
-  // A whole cut's sub-checkpoints may be in flight at once for this job (the
-  // service-wide cap still applies; submission blocks, never deadlocks).
-  jc.max_inflight_checkpoints = num_shards_;
   jc.priority = cfg_.priority;
   jc.keep_checkpoints = cfg_.keep_cuts;
   // The raw path: no whole-job policy, no per-commit GC (per-shard chains
@@ -203,63 +200,80 @@ ShardedJobHandle::~ShardedJobHandle() = default;
 CutTicket ShardedJobHandle::SubmitCut(std::uint64_t batches_trained,
                                       std::uint64_t samples_trained,
                                       std::vector<std::uint8_t> reader_state) {
-  // THE consistent cut: one whole-model snapshot (the trainer stall), plus
-  // the interval's dirty bits, both taken atomically with respect to
-  // training (single trainer thread — the same contract as JobHandle).
-  DirtySets dirty = tracker_.HarvestInterval();
-  ModelSnapshot snap = CreateSnapshot(model_, batches_trained, samples_trained,
-                                      /*pool=*/nullptr);
-
   auto state = std::make_unique<detail::CutState>();
   state->service = &service_;
   state->job = cfg_.name;
-  state->epoch = next_cut_epoch_++;
   state->batches_trained = batches_trained;
   state->samples_trained = samples_trained;
   state->reader_state = std::move(reader_state);
-  state->dense_blob = std::move(snap.dense_blob);
   state->policies = &policies_;
   state->gc = cfg_.gc;
 
   quant::QuantConfig effective = cfg_.quant;
   if (!cfg_.quantize) effective.method = quant::Method::kNone;
 
-  for (std::size_t s = 0; s < num_shards_; ++s) {
-    if (!policies_[s]) continue;  // no table reaches this shard
+  // The cut is one admission unit: everything below runs only after the
+  // service granted it, and its shard members share the one grant.
+  const UnitThunk take_cut = [&] {
+    // THE consistent cut: one whole-model snapshot (the trainer stall),
+    // plus the interval's dirty bits, both taken atomically with respect to
+    // training (single trainer thread — the same contract as JobHandle).
+    DirtySets dirty = tracker_.HarvestInterval();
+    ModelSnapshot snap = CreateSnapshot(model_, batches_trained, samples_trained,
+                                        /*pool=*/nullptr);
+    state->epoch = next_cut_epoch_++;
+    state->dense_blob = std::move(snap.dense_blob);
 
-    // Split the cut: shard s's slice of every table it appears in, with the
-    // matching dirty bits — shapes stay parallel ([table][0 or 1]) so
-    // BuildChunkTasks walks snapshot and plan in lock-step.
-    ModelSnapshot piece;
-    piece.batches_trained = batches_trained;
-    piece.samples_trained = samples_trained;
-    piece.shards.resize(model_.num_tables());
-    DirtySets piece_dirty(model_.num_tables());
-    for (std::size_t t = 0; t < model_.num_tables(); ++t) {
-      if (s < model_.table(t).num_shards()) {
-        piece.shards[t].push_back(std::move(snap.shards[t][s]));
-        piece_dirty[t].push_back(std::move(dirty[t][s]));
+    std::vector<UnitMember> members;
+    for (std::size_t s = 0; s < num_shards_; ++s) {
+      if (!policies_[s]) continue;  // no table reaches this shard
+
+      // Split the cut: shard s's slice of every table it appears in, with
+      // the matching dirty bits — shapes stay parallel ([table][0 or 1]) so
+      // BuildChunkTasks walks snapshot and plan in lock-step.
+      UnitMember member;
+      ModelSnapshot& piece = member.snapshot;
+      piece.batches_trained = batches_trained;
+      piece.samples_trained = samples_trained;
+      piece.shards.resize(model_.num_tables());
+      DirtySets piece_dirty(model_.num_tables());
+      for (std::size_t t = 0; t < model_.num_tables(); ++t) {
+        if (s < model_.table(t).num_shards()) {
+          piece.shards[t].push_back(std::move(snap.shards[t][s]));
+          piece_dirty[t].push_back(std::move(dirty[t][s]));
+        }
       }
+
+      // Sub-checkpoints carry no reader state and no dense blob: the cut
+      // manifest owns both (dense is replicated across trainers — CPR).
+      const std::uint64_t id = next_checkpoint_id_++;
+      CheckpointRequest& req = member.request;
+      req.checkpoint_id = id;
+      req.writer.job = cfg_.name;
+      req.writer.chunk_rows = cfg_.chunk_rows;
+      req.writer.quant = effective;
+      req.writer.rng_seed = cfg_.rng_seed;
+      req.plan = policies_[s]->Plan(id, std::move(piece_dirty));
+      members.push_back(std::move(member));
+      state->subs.push_back({static_cast<std::uint32_t>(s), id, {}});
     }
+    return members;
+  };
 
-    const std::uint64_t id = next_checkpoint_id_++;
-    CheckpointRequest req;
-    req.checkpoint_id = id;
-    req.writer.job = cfg_.name;
-    req.writer.chunk_rows = cfg_.chunk_rows;
-    req.writer.quant = effective;
-    req.writer.rng_seed = cfg_.rng_seed;
-    req.plan = policies_[s]->Plan(id, std::move(piece_dirty));
-    // Sub-checkpoints carry no reader state and no dense blob: the cut
-    // manifest owns both (dense is replicated across trainers — CPR).
-    auto piece_ptr = std::make_shared<ModelSnapshot>(std::move(piece));
-    req.snapshot_fn = [piece_ptr] { return std::move(*piece_ptr); };
-
-    detail::CutState::ShardSub sub;
-    sub.shard = static_cast<std::uint32_t>(s);
-    sub.checkpoint_id = id;
-    sub.future = job_->SubmitRaw(std::move(req));
-    state->subs.push_back(std::move(sub));
+  std::vector<std::future<WriteResult>> futures;
+  try {
+    futures = job_->SubmitUnit(take_cut);
+  } catch (...) {
+    // Not admitted (service stopping) or the cut failed part-way: shards
+    // may have planned ids that will never exist, so every shard
+    // re-baselines (mirrors JobHandle::Submit).
+    for (auto& policy : policies_) {
+      if (policy) policy->OnCheckpointFailed();
+    }
+    throw;
+  }
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    state->subs[i].future = std::move(futures[i]);
   }
   return CutTicket(std::move(state));
 }

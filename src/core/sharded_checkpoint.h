@@ -133,10 +133,13 @@ class ShardedJobHandle {
   const std::string& name() const { return cfg_.name; }
   std::size_t num_shards() const { return num_shards_; }
 
-  // Takes the consistent cut (ONE whole-model snapshot — the trainer stall),
-  // splits it per trainer shard, and submits every shard's chunks through
-  // the service's stages with per-shard ids and lineage. Returns once all
-  // shards are admitted; the returned ticket finalizes the cut.
+  // Waits until the service admits the cut as ONE unit (one service-wide
+  // grant and one per-job slot, whatever the shard count), then takes the
+  // consistent cut (one whole-model snapshot — the trainer stall), splits it
+  // per trainer shard, and submits every shard's chunks through the
+  // service's stages with per-shard ids and lineage. Returns without waiting
+  // for any store; the returned ticket finalizes the cut. A sharded job
+  // admits one cut at a time.
   CutTicket SubmitCut(std::uint64_t batches_trained, std::uint64_t samples_trained,
                       std::vector<std::uint8_t> reader_state = {});
 

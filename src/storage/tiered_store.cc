@@ -25,6 +25,23 @@ std::vector<std::uint8_t> MarkerPayload(std::uint64_t gen) {
   return w.TakeBytes();
 }
 
+std::vector<std::uint8_t> EncodeShutdownCounters(const TierStats& stats) {
+  util::Writer w(96);
+  w.Put<std::uint32_t>(kStatsMagic);
+  w.Put<std::uint32_t>(kStatsVersion);
+  w.Put<std::uint64_t>(stats.near_hits);
+  w.Put<std::uint64_t>(stats.far_hits);
+  w.Put<std::uint64_t>(stats.misses);
+  w.Put<std::uint64_t>(stats.near_bytes_read);
+  w.Put<std::uint64_t>(stats.far_bytes_read);
+  w.Put<std::uint64_t>(stats.drained_objects);
+  w.Put<std::uint64_t>(stats.drained_bytes);
+  w.Put<std::uint64_t>(stats.drain_failures);
+  w.Put<std::uint64_t>(stats.evicted_objects);
+  w.Put<std::uint64_t>(stats.evicted_bytes);
+  return w.TakeBytes();
+}
+
 }  // namespace
 
 TierSurvey SurveyTier(ObjectStore& tier) {
@@ -94,6 +111,13 @@ TieredStore::TieredStore(std::shared_ptr<ObjectStore> near_tier,
   }
   if (cfg_.drain_workers == 0) cfg_.drain_workers = 1;
 
+  // The one far scan: far occupancy is tracked incrementally from here on.
+  std::map<std::string, std::uint64_t> far_sizes;
+  for (const auto& key : far_->List("")) {
+    if (IsMetaKey(key)) continue;
+    if (const auto size = far_->SizeOf(key)) far_sizes.emplace(key, *size);
+  }
+
   // Recovery scan: rebuild the entry map from the near tier. A dirty marker
   // with data means the drain (or the process) died mid-replication — the
   // near copy is authoritative, re-queue it. A marker without data means the
@@ -101,6 +125,10 @@ TieredStore::TieredStore(std::shared_ptr<ObjectStore> near_tier,
   std::size_t recovered = 0;
   {
     util::MutexLock lock(mu_);
+    far_sizes_ = std::move(far_sizes);
+    TierStats seeded;
+    seeded.far_objects = far_sizes_.size();
+    for (const auto& [key, size] : far_sizes_) seeded.far_bytes += size;
     std::set<std::string> dirty;
     const std::string_view dirty_prefix(kDirtyPrefix);
     for (const auto& marker : near_->List(std::string(dirty_prefix))) {
@@ -116,17 +144,19 @@ TieredStore::TieredStore(std::shared_ptr<ObjectStore> near_tier,
         entry.marker = true;
         entry.queued = true;
         drain_queue_.push_back(key);
-        ++dirty_objects_;
-        backlog_bytes_ += entry.size;
+        ++seeded.dirty_objects;
+        seeded.dirty_bytes += entry.size;
         pending_.fetch_add(1);
         ++recovered;
       } else {
         entry.state = State::kClean;
         clean_fifo_.push_back(key);
       }
-      near_bytes_ += entry.size;
+      ++seeded.near_objects;
+      seeded.near_bytes += entry.size;
       entries_.emplace(key, entry);
     }
+    Count([&seeded](Counters& c) { c.tier = seeded; });
     for (const auto& stale : dirty) {
       try {
         near_->Delete(MarkerKey(stale));
@@ -200,8 +230,11 @@ void TieredStore::Put(const std::string& key, std::vector<std::uint8_t> data) {
         it->second.state = State::kDirty;
         it->second.attempts = 0;
         it->second.gen = ++gen_seq_;
-        ++dirty_objects_;
-        backlog_bytes_ += it->second.size;
+        const std::uint64_t size = it->second.size;
+        Count([size](Counters& c) {
+          ++c.tier.dirty_objects;
+          c.tier.dirty_bytes += size;
+        });
         pending_.fetch_add(1);
         if (!it->second.marker) {
           try {
@@ -225,8 +258,10 @@ void TieredStore::Put(const std::string& key, std::vector<std::uint8_t> data) {
   {
     util::MutexLock lock(mu_);
     EndWriteLocked(key);
-    ++stats_.puts;
-    stats_.bytes_written += logical_size;
+    Count([logical_size](Counters& c) {
+      ++c.ops.puts;
+      c.ops.bytes_written += logical_size;
+    });
     const bool delete_raced = delete_seq_ != delete_snapshot;
     // Concurrent Puts to the same key run their data writes unlocked, so the
     // near tier's content is last-writer-wins. Reconcile the recorded size
@@ -264,24 +299,26 @@ void TieredStore::Put(const std::string& key, std::vector<std::uint8_t> data) {
     // stale far data served after eviction). Prove it present or re-assert.
     const bool have_marker =
         (!inserted && entry.marker) || (wrote_marker && !delete_raced);
-    if (inserted || entry.state == State::kClean) {
+    const bool was_clean = inserted || entry.state == State::kClean;
+    const bool was_stuck = !inserted && entry.state == State::kStuck;
+    if (was_clean || was_stuck) {
       entry.state = State::kDirty;
       entry.attempts = 0;
-      ++dirty_objects_;
-      backlog_bytes_ += size;
       pending_.fetch_add(1);
-    } else if (entry.state == State::kStuck) {
-      entry.state = State::kDirty;
-      entry.attempts = 0;
-      --stuck_objects_;
-      backlog_bytes_ += size - prior;
-      pending_.fetch_add(1);
-    } else {
-      backlog_bytes_ += size - prior;
     }
+    Count([&](Counters& c) {
+      if (inserted) ++c.tier.near_objects;
+      c.tier.near_bytes += size - prior;
+      if (was_clean) {
+        ++c.tier.dirty_objects;  // a clean entry was not in the backlog
+        c.tier.dirty_bytes += size;
+      } else {
+        if (was_stuck) --c.tier.stuck_objects;
+        c.tier.dirty_bytes += size - prior;
+      }
+    });
     entry.size = size;
     entry.gen = ++gen_seq_;
-    near_bytes_ += size - prior;
     // A key already replicating is deferred: its completion sees the gen
     // mismatch and re-queues, preserving strict per-key far-write order.
     if (!entry.queued && !draining_.contains(key)) {
@@ -309,39 +346,46 @@ void TieredStore::Put(const std::string& key, std::vector<std::uint8_t> data) {
 
 std::optional<std::vector<std::uint8_t>> TieredStore::Get(const std::string& key) {
   RejectMetaKey(key, "Get");
+  const auto miss = [](Counters& c) {
+    ++c.ops.gets;
+    ++c.tier.misses;
+  };
   {
     util::MutexLock lock(mu_);
     if (tombstones_.contains(key)) {
-      ++stats_.gets;
-      ++misses_;
+      Count(miss);
       return std::nullopt;
     }
   }
   auto data = near_->Get(key);
   if (data) {
-    util::MutexLock lock(mu_);
-    ++stats_.gets;
-    stats_.bytes_read += data->size();
-    ++near_hits_;
-    near_bytes_read_ += data->size();
+    const std::uint64_t n = data->size();
+    Count([n](Counters& c) {
+      ++c.ops.gets;
+      c.ops.bytes_read += n;
+      ++c.tier.near_hits;
+      c.tier.near_bytes_read += n;
+    });
     return data;
   }
   data = far_->Get(key);
-  util::MutexLock lock(mu_);
-  ++stats_.gets;
-  if (tombstones_.contains(key)) {
+  {
+    util::MutexLock lock(mu_);
     // Deleted while we were reading: the far copy is condemned debris a
     // pending drain completion will remove — do not resurrect it.
-    ++misses_;
-    return std::nullopt;
+    if (tombstones_.contains(key)) data.reset();
   }
-  if (data) {
-    stats_.bytes_read += data->size();
-    ++far_hits_;
-    far_bytes_read_ += data->size();
-  } else {
-    ++misses_;
+  if (!data) {
+    Count(miss);
+    return data;
   }
+  const std::uint64_t n = data->size();
+  Count([n](Counters& c) {
+    ++c.ops.gets;
+    c.ops.bytes_read += n;
+    ++c.tier.far_hits;
+    c.tier.far_bytes_read += n;
+  });
   return data;
 }
 
@@ -365,16 +409,18 @@ bool TieredStore::Delete(const std::string& key) {
     if (it != entries_.end()) {
       existed_near = true;
       Entry& entry = it->second;
-      near_bytes_ -= entry.size;
-      if (entry.state == State::kDirty) {
-        --dirty_objects_;
-        backlog_bytes_ -= entry.size;
-        pending_.fetch_sub(1);
-      } else if (entry.state == State::kStuck) {
-        --dirty_objects_;
-        --stuck_objects_;
-        backlog_bytes_ -= entry.size;
-      }
+      const State state = entry.state;
+      const std::uint64_t size = entry.size;
+      if (state == State::kDirty) pending_.fetch_sub(1);
+      Count([state, size](Counters& c) {
+        --c.tier.near_objects;
+        c.tier.near_bytes -= size;
+        if (state != State::kClean) {
+          --c.tier.dirty_objects;
+          c.tier.dirty_bytes -= size;
+        }
+        if (state == State::kStuck) --c.tier.stuck_objects;
+      });
       try {
         near_->Delete(key);
       } catch (...) {
@@ -394,13 +440,25 @@ bool TieredStore::Delete(const std::string& key) {
     if (draining_.contains(key) && tombstones_.insert(key).second) {
       pending_.fetch_add(1);
     }
+    ++far_deleting_[key];
   }
-  const bool existed_far = far_->Delete(key);
-  const bool existed = existed_near || existed_far;
-  if (existed) {
+  bool existed_far = false;
+  std::exception_ptr error;
+  try {
+    existed_far = far_->Delete(key);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  std::size_t kick = 0;
+  {
     util::MutexLock lock(mu_);
-    ++stats_.deletes;
+    if (!error) SetFarSizeLocked(key, std::nullopt);
+    kick = EndFarDeleteLocked(key);
   }
+  if (kick != 0) exec_.Submit(drain_stage_, kick);
+  if (error) std::rethrow_exception(error);
+  const bool existed = existed_near || existed_far;
+  if (existed) Count([](Counters& c) { ++c.ops.deletes; });
   return existed;
 }
 
@@ -426,25 +484,17 @@ std::vector<std::string> TieredStore::List(const std::string& prefix) {
 std::uint64_t TieredStore::TotalBytes() {
   // Union occupancy, near-preferred per key: a dirty near copy counts; its
   // stale far predecessor does not (it is about to be overwritten).
-  const std::vector<std::string> far_keys = far_->List("");
-  std::uint64_t total = 0;
-  std::vector<std::string> far_only;
-  {
-    util::MutexLock lock(mu_);
-    total = near_bytes_;
-    for (const auto& key : far_keys) {
-      if (!entries_.contains(key) && !tombstones_.contains(key)) {
-        far_only.push_back(key);
-      }
-    }
+  util::MutexLock lock(mu_);
+  std::uint64_t total = tier_stats().near_bytes;
+  for (const auto& [key, size] : far_sizes_) {
+    if (!entries_.contains(key) && !tombstones_.contains(key)) total += size;
   }
-  for (const auto& key : far_only) total += far_->SizeOf(key).value_or(0);
   return total;
 }
 
 StoreStats TieredStore::Stats() {
-  util::MutexLock lock(mu_);
-  return stats_;
+  util::MutexLock lock(stats_mu_);
+  return counters_.ops;
 }
 
 std::optional<std::uint64_t> TieredStore::SizeOf(const std::string& key) {
@@ -474,15 +524,16 @@ bool TieredStore::DrainOne() {
         drain_queue_.pop_front();  // stale occurrence
         continue;
       }
-      if (draining_.contains(front)) {
-        // Per-key order: wait for the in-flight generation; its completion
-        // re-queues this one via the gen mismatch.
+      if (draining_.contains(front) || far_deleting_.contains(front)) {
+        // Per-key order: wait for the in-flight generation (or far Delete);
+        // its completion re-queues this one.
         it->second.queued = false;
         drain_queue_.pop_front();
         continue;
       }
-      if (inflight_bytes_ > 0 && cfg_.max_inflight_drain_bytes > 0 &&
-          inflight_bytes_ + it->second.size > cfg_.max_inflight_drain_bytes) {
+      const std::uint64_t window = tier_stats().draining_bytes;
+      if (window > 0 && cfg_.max_inflight_drain_bytes > 0 &&
+          window + it->second.size > cfg_.max_inflight_drain_bytes) {
         // Window full. The unit is consumed; every drain completion kicks a
         // fresh one, and an empty window always admits the front object (so
         // an object larger than the window still drains alone).
@@ -507,13 +558,14 @@ bool TieredStore::DrainOne() {
       it->second.queued = false;
       drain_queue_.pop_front();
       draining_.emplace(key, gen);
-      inflight_bytes_ += size;
+      Count([size](Counters& c) { c.tier.draining_bytes += size; });
       break;
     }
     if (!found) return false;
   }
 
-  bool replicated = false;
+  bool far_put_attempted = false;
+  std::optional<std::uint64_t> replicated_bytes;
   std::optional<std::vector<std::uint8_t>> data;
   try {
     data = near_->Get(key);
@@ -521,32 +573,49 @@ bool TieredStore::DrainOne() {
     data.reset();
   }
   if (data) {
+    const std::uint64_t bytes = data->size();
+    far_put_attempted = true;
     try {
       far_->Put(key, std::move(*data));
-      replicated = true;
+      replicated_bytes = bytes;
     } catch (...) {
-      // failure is the signal: FinishDrain retries or parks the object
+      // Failure is the signal: FinishDrain retries or parks the object. A
+      // torn Put may have left a partial far copy: record what is there —
+      // unless the key was deleted meanwhile. That Delete's far Delete may
+      // have run after the stat, and FinishDrain re-deletes the key anyway.
+      try {
+        const auto far_size = far_->SizeOf(key);
+        util::MutexLock lock(mu_);
+        if (!tombstones_.contains(key)) SetFarSizeLocked(key, far_size);
+      } catch (...) {
+        // far state unknown; the key's next completed far op records it
+      }
     }
   }
-  FinishDrain(key, gen, size, replicated);
+  FinishDrain(key, gen, size, far_put_attempted, replicated_bytes);
   return true;
 }
 
 void TieredStore::FinishDrain(const std::string& key, std::uint64_t gen,
-                              std::uint64_t size, bool replicated) {
+                              std::uint64_t size, bool far_put_attempted,
+                              std::optional<std::uint64_t> replicated_bytes) {
+  const bool replicated = replicated_bytes.has_value();
   bool far_delete = false;
   std::size_t kick = 0;
   {
     util::MutexLock lock(mu_);
     draining_.erase(key);
-    inflight_bytes_ -= size;
+    if (replicated) SetFarSizeLocked(key, replicated_bytes);
+    Count([size](Counters& c) { c.tier.draining_bytes -= size; });
     const auto it = entries_.find(key);
     if (it == entries_.end()) {
-      // Deleted mid-drain. If the far Put landed it resurrected the key —
-      // re-delete it below; either way the tombstone's job ends here.
+      // Deleted mid-drain. A far Put that landed resurrected the key, and
+      // one that failed may have left a torn copy — either way re-delete it
+      // below; the tombstone's job ends there.
       if (tombstones_.contains(key)) {
-        if (replicated) {
+        if (far_put_attempted) {
           far_delete = true;
+          ++far_deleting_[key];  // a drain of a re-Put waits for it
         } else {
           tombstones_.erase(key);
           pending_.fetch_sub(1);
@@ -560,10 +629,12 @@ void TieredStore::FinishDrain(const std::string& key, std::uint64_t gen,
     } else if (replicated) {
       it->second.state = State::kClean;
       it->second.attempts = 0;
-      --dirty_objects_;
-      backlog_bytes_ -= size;
-      ++drained_objects_;
-      drained_bytes_ += size;
+      Count([size](Counters& c) {
+        --c.tier.dirty_objects;
+        c.tier.dirty_bytes -= size;
+        ++c.tier.drained_objects;
+        c.tier.drained_bytes += size;
+      });
       pending_.fetch_sub(1);
       // Marker removal and the clean transition are atomic with respect to a
       // concurrent Put's marker write (both run under mu_); a Put that
@@ -579,13 +650,17 @@ void TieredStore::FinishDrain(const std::string& key, std::uint64_t gen,
       clean_fifo_.push_back(key);
       EvictForCapacityLocked();
     } else {
-      ++drain_failures_;
       ++it->second.attempts;
-      if (cfg_.drain_attempts > 0 && it->second.attempts >= cfg_.drain_attempts) {
+      const bool park =
+          cfg_.drain_attempts > 0 && it->second.attempts >= cfg_.drain_attempts;
+      Count([park](Counters& c) {
+        ++c.tier.drain_failures;
+        if (park) ++c.tier.stuck_objects;
+      });
+      if (park) {
         // Parked: still dirty-marked and pinned in the near tier; a restart
         // or a fresh Put of the key retries it.
         it->second.state = State::kStuck;
-        ++stuck_objects_;
         pending_.fetch_sub(1);
       } else if (!it->second.queued) {
         QueueDirtyLocked(key, it->second);
@@ -594,21 +669,41 @@ void TieredStore::FinishDrain(const std::string& key, std::uint64_t gen,
     if (!drain_queue_.empty()) kick = 1;
   }
   if (far_delete) {
+    bool deleted = false;
     try {
       far_->Delete(key);
+      deleted = true;
     } catch (...) {
-      // undeletable resurrected copy becomes orphan debris for offline GC
+      // undeletable resurrected or torn copy becomes orphan debris for
+      // offline GC
     }
     util::MutexLock lock(mu_);
-    tombstones_.erase(key);
-    pending_.fetch_sub(1);
+    if (deleted) SetFarSizeLocked(key, std::nullopt);
+    // A Put of the key since FinishDrain's first section already ended the
+    // tombstone (and its pending count).
+    if (tombstones_.erase(key) > 0) pending_.fetch_sub(1);
+    kick += EndFarDeleteLocked(key);
   }
   if (kick != 0) exec_.Submit(drain_stage_, kick);
 }
 
+std::size_t TieredStore::EndFarDeleteLocked(const std::string& key) {
+  const auto d = far_deleting_.find(key);
+  if (--d->second > 0) return 0;
+  far_deleting_.erase(d);
+  // A drain of a Put that landed during the far Delete was deferred.
+  const auto it = entries_.find(key);
+  if (it == entries_.end() || it->second.state != State::kDirty || it->second.queued ||
+      draining_.contains(key)) {
+    return 0;
+  }
+  QueueDirtyLocked(key, it->second);
+  return 1;
+}
+
 void TieredStore::EvictForCapacityLocked() {
   if (cfg_.near_capacity_bytes == 0) return;
-  while (near_bytes_ > cfg_.near_capacity_bytes && !clean_fifo_.empty()) {
+  while (tier_stats().near_bytes > cfg_.near_capacity_bytes && !clean_fifo_.empty()) {
     const std::string key = std::move(clean_fifo_.front());
     clean_fifo_.pop_front();
     const auto it = entries_.find(key);
@@ -624,9 +719,13 @@ void TieredStore::EvictForCapacityLocked() {
     } catch (...) {
       continue;  // keep the entry truthful if the near delete failed
     }
-    near_bytes_ -= it->second.size;
-    ++evicted_objects_;
-    evicted_bytes_ += it->second.size;
+    const std::uint64_t size = it->second.size;
+    Count([size](Counters& c) {
+      --c.tier.near_objects;
+      c.tier.near_bytes -= size;
+      ++c.tier.evicted_objects;
+      c.tier.evicted_bytes += size;
+    });
     entries_.erase(it);
   }
   // Dirty/stuck objects are pinned, so the near tier may transiently exceed
@@ -643,22 +742,6 @@ void TieredStore::FlushDrains() {
       {drain_stage_});
 }
 
-std::vector<std::uint8_t> TieredStore::EncodeShutdownCountersLocked() const {
-  util::Writer w(96);
-  w.Put<std::uint32_t>(kStatsMagic);
-  w.Put<std::uint32_t>(kStatsVersion);
-  w.Put<std::uint64_t>(near_hits_);
-  w.Put<std::uint64_t>(far_hits_);
-  w.Put<std::uint64_t>(misses_);
-  w.Put<std::uint64_t>(near_bytes_read_);
-  w.Put<std::uint64_t>(far_bytes_read_);
-  w.Put<std::uint64_t>(drained_objects_);
-  w.Put<std::uint64_t>(drained_bytes_);
-  w.Put<std::uint64_t>(drain_failures_);
-  w.Put<std::uint64_t>(evicted_objects_);
-  w.Put<std::uint64_t>(evicted_bytes_);
-  return w.TakeBytes();
-}
 
 void TieredStore::Shutdown() {
   bool flush = false;
@@ -670,13 +753,8 @@ void TieredStore::Shutdown() {
   }
   if (flush) {
     FlushDrains();
-    std::vector<std::uint8_t> blob;
-    {
-      util::MutexLock lock(mu_);
-      blob = EncodeShutdownCountersLocked();
-    }
     try {
-      near_->Put(kStatsKey, std::move(blob));
+      near_->Put(kStatsKey, EncodeShutdownCounters(tier_stats()));
     } catch (...) {
       // counters are advisory; shutdown proceeds without them
     }
@@ -693,31 +771,31 @@ void TieredStore::Shutdown() {
 }
 
 TierStats TieredStore::tier_stats() const {
-  // Far occupancy is recomputed live from the far store (outside mu_ — far
-  // calls are slow and take their own locks).
-  const std::uint64_t far_bytes = far_->TotalBytes();
-  const std::uint64_t far_objects = far_->List("").size();
-  TierStats stats;
-  stats.far_bytes = far_bytes;
-  stats.far_objects = far_objects;
-  util::MutexLock lock(mu_);
-  stats.near_bytes = near_bytes_;
-  stats.near_objects = entries_.size();
-  stats.dirty_objects = dirty_objects_;
-  stats.dirty_bytes = backlog_bytes_;
-  stats.draining_bytes = inflight_bytes_;
-  stats.stuck_objects = stuck_objects_;
-  stats.drained_objects = drained_objects_;
-  stats.drained_bytes = drained_bytes_;
-  stats.drain_failures = drain_failures_;
-  stats.near_hits = near_hits_;
-  stats.far_hits = far_hits_;
-  stats.misses = misses_;
-  stats.near_bytes_read = near_bytes_read_;
-  stats.far_bytes_read = far_bytes_read_;
-  stats.evicted_objects = evicted_objects_;
-  stats.evicted_bytes = evicted_bytes_;
-  return stats;
+  util::MutexLock lock(stats_mu_);
+  return counters_.tier;
+}
+
+void TieredStore::SetFarSizeLocked(const std::string& key,
+                                   std::optional<std::uint64_t> size) {
+  const auto it = far_sizes_.find(key);
+  const std::optional<std::uint64_t> prior =
+      it == far_sizes_.end() ? std::nullopt : std::optional<std::uint64_t>(it->second);
+  if (prior == size) return;
+  if (size) {
+    far_sizes_[key] = *size;
+  } else {
+    far_sizes_.erase(it);
+  }
+  Count([&prior, &size](Counters& c) {
+    if (prior) {
+      --c.tier.far_objects;
+      c.tier.far_bytes -= *prior;
+    }
+    if (size) {
+      ++c.tier.far_objects;
+      c.tier.far_bytes += *size;
+    }
+  });
 }
 
 }  // namespace cnr::storage

@@ -57,11 +57,15 @@
 // mid-drain restarts. Maintenance survey/scrub and the delta-log plane see
 // through the decorator via the read-through union List/Get.
 //
-// Concurrency (PR 8 conventions): all state under one util::Mutex; bulk
-// near/far transfers run with the lock released; only near-tier *metadata*
-// ops (dirty markers, eviction deletes) run under mu_ — TieredStore::mu_
-// ranks above the near store's internal lock (docs/CONCURRENCY.md). The
-// drain stage never sleeps and never blocks on a sibling stage.
+// Concurrency (docs/CONCURRENCY.md): tier bookkeeping under one util::Mutex;
+// bulk near/far transfers run with the lock released; only near-tier
+// *metadata* ops (dirty markers, eviction deletes) run under mu_, which
+// ranks above the near store's internal lock. The counters tier_stats() and
+// Stats() report live under a separate leaf lock that is never held across
+// I/O, so a stats probe never waits behind a marker fsync and never touches
+// the far tier: far occupancy is kept incrementally (seeded by one far scan
+// at construction, updated when a far Put or Delete completes). The drain
+// stage never sleeps and never blocks on a sibling stage.
 #pragma once
 
 #include <atomic>
@@ -196,7 +200,8 @@ class TieredStore : public ObjectStore {
   // Must run while the executor is alive.
   void Shutdown();
 
-  TierStats tier_stats() const;
+  // Never blocks on tier I/O and never calls the far tier.
+  TierStats tier_stats() const EXCLUDES(stats_mu_);
 
   ObjectStore& near_tier() { return *near_; }
   ObjectStore& far_tier() { return *far_; }
@@ -226,15 +231,38 @@ class TieredStore : public ObjectStore {
   static std::string MarkerKey(const std::string& key);
   static void RejectMetaKey(const std::string& key, const char* op);
 
+  // The published counters: tier occupancy, backlog and hits, plus the
+  // logical op counters. Occupancy and backlog change together with the
+  // mu_-guarded bookkeeping they count; tier_stats()/Stats() read them all
+  // without mu_.
+  struct Counters {
+    TierStats tier;
+    StoreStats ops;
+  };
+
   // Drain stage: replicate at most one dirty object to the far tier.
   bool DrainOne();
+  // `far_put_attempted` is false when the near copy was gone before the far
+  // Put; `replicated_bytes` is the size of the far copy that landed, or
+  // nullopt when the far Put failed (or was never attempted).
   void FinishDrain(const std::string& key, std::uint64_t gen, std::uint64_t size,
-                   bool replicated);
+                   bool far_put_attempted,
+                   std::optional<std::uint64_t> replicated_bytes);
 
   void QueueDirtyLocked(const std::string& key, Entry& entry) REQUIRES(mu_);
   void EndWriteLocked(const std::string& key) REQUIRES(mu_);
   void EvictForCapacityLocked() REQUIRES(mu_);
-  std::vector<std::uint8_t> EncodeShutdownCountersLocked() const REQUIRES(mu_);
+  // Ends one in-flight far Delete of `key`; re-queues a drain it deferred
+  // and returns the number of drain units to kick.
+  std::size_t EndFarDeleteLocked(const std::string& key) REQUIRES(mu_);
+  // Records what the far tier holds for `key` after a far op completed.
+  void SetFarSizeLocked(const std::string& key, std::optional<std::uint64_t> size)
+      REQUIRES(mu_);
+  template <typename Fn>
+  void Count(Fn&& fn) EXCLUDES(stats_mu_) {
+    util::MutexLock lock(stats_mu_);
+    fn(counters_);
+  }
 
   std::shared_ptr<ObjectStore> near_;
   std::shared_ptr<ObjectStore> far_;
@@ -261,30 +289,27 @@ class TieredStore : public ObjectStore {
   // Puts). Eviction must not delete their near data out from under the
   // write — a clean entry about to be re-dirtied would lose the new bytes.
   std::map<std::string, int> writing_ GUARDED_BY(mu_);
+  // Keys whose far Delete is in flight (a Delete's, or a drain completion
+  // removing a copy its tombstone condemned), counted. A drain of the key
+  // waits for it, so far ops on one key never race: a re-Put's fresh far
+  // copy cannot be deleted behind it, and the far index below stays exact.
+  std::map<std::string, int> far_deleting_ GUARDED_BY(mu_);
+  // Far-resident data objects and their sizes: seeded from one far scan at
+  // construction, then updated as far Puts and Deletes complete.
+  std::map<std::string, std::uint64_t> far_sizes_ GUARDED_BY(mu_);
 
   std::uint64_t gen_seq_ GUARDED_BY(mu_) = 0;
   // Bumped by every Delete. A Put snapshots it before releasing mu_ for the
   // bulk near write and re-asserts its dirty marker afterwards if any Delete
   // ran in between (the racing Delete may have removed the marker).
   std::uint64_t delete_seq_ GUARDED_BY(mu_) = 0;
-  std::uint64_t near_bytes_ GUARDED_BY(mu_) = 0;
-  std::uint64_t backlog_bytes_ GUARDED_BY(mu_) = 0;   // dirty + stuck
-  std::uint64_t dirty_objects_ GUARDED_BY(mu_) = 0;   // dirty + stuck
-  std::uint64_t stuck_objects_ GUARDED_BY(mu_) = 0;
-  std::uint64_t inflight_bytes_ GUARDED_BY(mu_) = 0;  // drain window
-  std::uint64_t drained_objects_ GUARDED_BY(mu_) = 0;
-  std::uint64_t drained_bytes_ GUARDED_BY(mu_) = 0;
-  std::uint64_t drain_failures_ GUARDED_BY(mu_) = 0;
-  std::uint64_t near_hits_ GUARDED_BY(mu_) = 0;
-  std::uint64_t far_hits_ GUARDED_BY(mu_) = 0;
-  std::uint64_t misses_ GUARDED_BY(mu_) = 0;
-  std::uint64_t near_bytes_read_ GUARDED_BY(mu_) = 0;
-  std::uint64_t far_bytes_read_ GUARDED_BY(mu_) = 0;
-  std::uint64_t evicted_objects_ GUARDED_BY(mu_) = 0;
-  std::uint64_t evicted_bytes_ GUARDED_BY(mu_) = 0;
-  StoreStats stats_ GUARDED_BY(mu_);  // logical op counters
   bool closed_ GUARDED_BY(mu_) = false;
   bool stage_closed_ GUARDED_BY(mu_) = false;
+
+  // Leaf lock (rank 4): taken inside mu_ or alone, never held across I/O or
+  // while taking any other lock.
+  mutable util::Mutex stats_mu_ ACQUIRED_AFTER(mu_);
+  Counters counters_ GUARDED_BY(stats_mu_);
 
   // Dirty + replicating object count (stuck excluded so FlushDrains
   // terminates against a dead far tier). Atomic: HelpUntil's predicate.

@@ -91,6 +91,15 @@ TEST(Policy, ConsecutiveStoresOnlyLastInterval) {
   EXPECT_FALSE(p3.rows[0][0].Test(1));
 }
 
+// A sharded job numbers all shards' sub-checkpoints from one counter, so a
+// shard's policy sees ids with gaps; its chain must still link its own ids.
+TEST(Policy, ConsecutiveChainsToItsOwnLastIdAcrossGaps) {
+  IncrementalPolicy policy(PolicyKind::kConsecutive, 100);
+  (void)policy.Plan(3, MakeDirty({}));
+  EXPECT_EQ(policy.Plan(7, MakeDirty({1})).parent_id, 3u);
+  EXPECT_EQ(policy.Plan(11, MakeDirty({2})).parent_id, 7u);
+}
+
 TEST(Policy, RebaselinePredictorRule) {
   // Fc = 1 + sum(S), Ic = (i+1) * S_i.
   // history {0.25}: Fc = 1.25, Ic = 2*0.25 = 0.5 -> no rebaseline.

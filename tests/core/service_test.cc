@@ -1,9 +1,9 @@
 // Multi-job tests of core::CheckpointService: N jobs sharing one engine with
 // per-job in-order commits, weighted round-robin chunk scheduling (a large
 // full checkpoint cannot starve a small job's incrementals), pre-commit
-// admission-slot release, per-job lineage, occupancy accounting, and
-// shutdown draining every job. Run in CI both plain and with
-// -fsanitize=thread.
+// admission-slot release, per-job lineage, occupancy accounting, shutdown
+// draining every job, and the admission bound under overload from plain and
+// sharded jobs. Run in CI both plain and with -fsanitize=thread.
 #include "core/service.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +19,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/sharded_checkpoint.h"
+#include "data/synthetic.h"
+#include "dlrm/model.h"
 #include "storage/latency_store.h"
 #include "storage/object_store.h"
 
@@ -526,6 +529,97 @@ TEST(CheckpointService, PolicyPathNumbersAndChainsCheckpoints) {
   IntervalSubmission sub;
   sub.snapshot_fn = [] { return MakeSnapshot(); };
   EXPECT_THROW(raw->Submit(std::move(sub)), std::logic_error);
+}
+
+
+// Admission under overload: three plain jobs and two sharded jobs submit
+// from their own threads against a service-wide cap of 2 on a slow store.
+// A coordinated cut counts as one unit, so the grant high-water mark never
+// exceeds the cap however many shard members are in flight; every snapshot
+// thunk runs while its grant is held; and a torn cut (one shard's Puts fail)
+// returns its grant — its job, whose per-job cap is 1, goes on to commit
+// its next cuts.
+TEST(CheckpointService, AdmissionBoundHoldsUnderOverload) {
+  constexpr std::size_t kCap = 2;
+  auto backing = std::make_shared<RecordingStore>();
+  auto store = std::make_shared<storage::LatencyInjectedStore>(backing, 0us, 200us);
+  ServiceConfig cfg = SmallService();
+  cfg.max_inflight_checkpoints = kCap;
+  cfg.put_attempts = 1;
+  CheckpointService service(store, cfg);
+
+  std::atomic<std::size_t> in_thunk{0};
+  std::atomic<int> thunk_violations{0};
+  std::atomic<int> raw_committed{0};
+  std::vector<std::thread> threads;
+  for (int j = 0; j < 3; ++j) {
+    threads.emplace_back([&, j] {
+      auto handle = service.OpenJob(RawJob("raw" + std::to_string(j), /*cap=*/2));
+      std::vector<std::future<WriteResult>> futures;
+      for (std::uint64_t id = 1; id <= 6; ++id) {
+        CheckpointRequest req = MakeRequest(handle->name(), id);
+        req.snapshot_fn = [&] {
+          const std::size_t running = in_thunk.fetch_add(1) + 1;
+          const ServiceStats stats = service.stats();
+          if (running > kCap || stats.admitted < 1 || stats.admitted > kCap) {
+            thunk_violations.fetch_add(1);
+          }
+          in_thunk.fetch_sub(1);
+          return MakeSnapshot();
+        };
+        futures.push_back(handle->SubmitRaw(std::move(req)));
+      }
+      for (auto& f : futures) {
+        f.get();
+        raw_committed.fetch_add(1);
+      }
+    });
+  }
+
+  dlrm::ModelConfig mc;
+  mc.num_dense = 4;
+  mc.embedding_dim = 8;
+  mc.table_rows = {128, 64};
+  mc.bottom_hidden = {16};
+  mc.top_hidden = {16};
+  mc.num_shards = 4;
+  data::DatasetConfig dc;
+  dc.num_dense = 4;
+  dc.tables = {{128, 2, 1.1}, {64, 1, 1.05}};
+  // The second cut of job "cut1" uses sub-checkpoint ids 5..8: shard 1's
+  // (id 6) Puts fail, tearing that cut.
+  backing->FailCheckpoint("cut1", 6);
+  std::vector<std::vector<bool>> committed(2);
+  for (int j = 0; j < 2; ++j) {
+    threads.emplace_back([&, j] {
+      dlrm::DlrmModel model(mc);
+      data::SyntheticDataset ds(dc);
+      ShardedJobConfig sc;
+      sc.name = "cut" + std::to_string(j);
+      sc.quantize = false;
+      sc.chunk_rows = 16;
+      sc.gc = false;
+      ShardedJobHandle handle(service, model, sc);
+      for (std::uint64_t c = 1; c <= 4; ++c) {
+        for (std::uint64_t b = 0; b < 2; ++b) {
+          model.TrainBatch(ds.GetBatch(c * 2 + b, (c * 2 + b) * 32, 32));
+        }
+        committed[j].push_back(handle.WriteCut(c * 2, c * 64).committed);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  service.DrainAll();
+
+  EXPECT_EQ(thunk_violations.load(), 0);
+  EXPECT_EQ(raw_committed.load(), 18);
+  EXPECT_EQ(committed[0], (std::vector<bool>{true, true, true, true}));
+  EXPECT_EQ(committed[1], (std::vector<bool>{true, false, true, true}));
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.admitted, 0u);  // the torn cut returned its grant too
+  EXPECT_EQ(stats.admission_waiters, 0u);
+  EXPECT_GE(stats.admitted_peak, 1u);
+  EXPECT_LE(stats.admitted_peak, kCap);
 }
 
 }  // namespace

@@ -3,14 +3,22 @@
 // the single-job write path over the same snapshot), CPR-style partial
 // restore of a shard subset, torn-commit atomicity under injected storage
 // faults (a half-written cut is never observable; the previous cut stays
-// restorable), empty-shard handling, and resume of id/epoch numbering.
+// restorable), empty-shard handling, resume of id/epoch numbering, every
+// policy kind keeping each shard's own lineage, and a cut admitted as one
+// unit (snapshot after the grant, no store on the submitter's path).
 // Run in CI both plain and with -fsanitize=thread.
 #include "core/sharded_checkpoint.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <future>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/maintenance.h"
@@ -111,6 +119,41 @@ class TargetedFaultStore : public storage::ObjectStore {
   storage::FaultInjectionStore faulty_;
   std::mutex mu_;
   std::string prefix_;
+};
+
+// Holds every Put until Open(): a far link that is shut, so a test can see
+// what a submitter waits for. Everything else passes straight through.
+class GatedPutStore : public storage::ObjectStore {
+ public:
+  void Put(const std::string& key, std::vector<std::uint8_t> data) override {
+    {
+      std::unique_lock lock(mu_);
+      cv_.wait(lock, [this] { return open_; });
+    }
+    inner_.Put(key, std::move(data));
+  }
+  std::optional<std::vector<std::uint8_t>> Get(const std::string& key) override {
+    return inner_.Get(key);
+  }
+  bool Exists(const std::string& key) override { return inner_.Exists(key); }
+  bool Delete(const std::string& key) override { return inner_.Delete(key); }
+  std::vector<std::string> List(const std::string& prefix) override {
+    return inner_.List(prefix);
+  }
+  std::uint64_t TotalBytes() override { return inner_.TotalBytes(); }
+  storage::StoreStats Stats() override { return inner_.Stats(); }
+
+  void Open() {
+    std::lock_guard lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  storage::InMemoryStore inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
 };
 
 // The tentpole differential: one consistent cut written as 4 shard
@@ -290,6 +333,120 @@ TEST(ShardedCheckpoint, TornCommitLeavesPreviousCutRestorable) {
   dlrm::DlrmModel healed(SmallModel());
   EXPECT_EQ(RestoreShardedModel(*store, "torn", healed).cut_epoch, 3u);
   ExpectModelsEqual(healed, model);
+}
+
+// Every policy kind keeps each shard's own lineage across cuts: after three
+// cuts with training in between, both a full restore and a partial restore
+// of every shard reproduce the trained model bit for bit (quantization off).
+// A consecutive incremental must chain to its own shard's previous
+// sub-checkpoint, not to "id - 1", which in a sharded job is another shard's.
+TEST(ShardedCheckpoint, EveryPolicyRestoresTheTrainedModelAcrossCuts) {
+  for (const PolicyKind kind : {PolicyKind::kAlwaysFull, PolicyKind::kOneShot,
+                                PolicyKind::kConsecutive, PolicyKind::kIntermittent}) {
+    SCOPED_TRACE(PolicyName(kind));
+    auto store = std::make_shared<storage::InMemoryStore>();
+    dlrm::DlrmModel model(SmallModel());
+    CheckpointService service(store);
+    ShardedJobConfig cfg = ShardedConfig("policy", /*quantize=*/false);
+    cfg.policy = kind;
+    ShardedJobHandle handle(service, model, cfg);
+
+    constexpr int kCuts = 4;
+    for (int c = 0; c < kCuts; ++c) {
+      TrainBatches(model, c * 4, (c + 1) * 4);
+      ASSERT_TRUE(handle.WriteCut((c + 1) * 4, (c + 1) * 128).committed);
+    }
+
+    dlrm::DlrmModel full(SmallModel());
+    EXPECT_EQ(RestoreShardedModel(*store, "policy", full).cut_epoch,
+              static_cast<std::uint64_t>(kCuts));
+    ExpectModelsEqual(model, full);
+
+    dlrm::DlrmModel partial(SmallModel());
+    const auto pr = RestorePartial(*store, "policy", partial, {0, 1, 2, 3});
+    EXPECT_EQ(pr.shards_restored.size(), 4u);
+    for (std::size_t t = 0; t < model.num_tables(); ++t) {
+      for (std::size_t s = 0; s < model.table(t).num_shards(); ++s) {
+        EXPECT_EQ(partial.table(t).Shard(s), model.table(t).Shard(s))
+            << "table " << t << " shard " << s;
+      }
+    }
+  }
+}
+
+// A cut is ONE admission unit: at the default service-wide cap (4), an
+// 8-shard SubmitCut takes one grant, snapshots, and returns while every
+// far-tier Put is still held shut. Counted per shard, shards 5-8 would wait
+// for shards 1-4 to store.
+TEST(ShardedCheckpoint, EightShardCutReturnsWithoutWaitingForAnyStore) {
+  auto store = std::make_shared<GatedPutStore>();
+  dlrm::DlrmModel model(SmallModel(8));
+  CheckpointService service(store);
+  ASSERT_EQ(service.config().max_inflight_checkpoints, 4u);
+  ShardedJobHandle handle(service, model, ShardedConfig("gated", /*quantize=*/false));
+  ASSERT_EQ(handle.num_shards(), 8u);
+  TrainBatches(model, 0, 4);
+
+  std::optional<CutTicket> ticket;
+  std::promise<void> returned;
+  std::thread trainer([&] {
+    ticket.emplace(handle.SubmitCut(4, 128));
+    returned.set_value();
+  });
+  const bool in_time =
+      returned.get_future().wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  EXPECT_TRUE(in_time) << "SubmitCut waited for the (shut) store";
+  EXPECT_EQ(service.stats().admitted, 1u);  // the whole cut holds one grant
+  store->Open();
+  trainer.join();
+
+  const CutResult cut = ticket->Wait();
+  ASSERT_TRUE(cut.committed);
+  EXPECT_EQ(cut.shard_map.size(), 8u);
+  service.DrainAll();
+  EXPECT_EQ(service.stats().admitted, 0u);
+  EXPECT_EQ(service.stats().admitted_peak, 1u);
+  dlrm::DlrmModel restored(SmallModel(8));
+  (void)RestoreShardedModel(*store, "gated", restored);
+  ExpectModelsEqual(model, restored);
+}
+
+// The cut's snapshot (and harvest, split and plan) run only after the cut is
+// granted: while the submitter waits at a full gate the model keeps
+// training, and the committed cut holds the state at grant time, not at
+// call time.
+TEST(ShardedCheckpoint, CutSnapshotIsTakenOnlyAfterItsGrant) {
+  auto store = std::make_shared<GatedPutStore>();
+  ServiceConfig sc;
+  sc.max_inflight_checkpoints = 1;
+  CheckpointService service(store, sc);
+
+  // The first job's cut takes the only grant and keeps it: its Puts wait.
+  dlrm::DlrmModel holder_model(SmallModel());
+  ShardedJobHandle holder(service, holder_model, ShardedConfig("holder", false));
+  CutTicket held = holder.SubmitCut(0, 0);
+  ASSERT_EQ(service.stats().admitted, 1u);
+
+  dlrm::DlrmModel model(SmallModel());
+  ShardedJobHandle handle(service, model, ShardedConfig("late", false));
+  TrainBatches(model, 0, 4);
+  std::optional<CutTicket> ticket;
+  std::thread trainer([&] { ticket.emplace(handle.SubmitCut(8, 256)); });
+  while (service.stats().admission_waiters != 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // The submitter is parked at the gate, so its snapshot is not taken yet:
+  // what the model learns now must show up in the cut.
+  TrainBatches(model, 4, 8);
+  store->Open();
+  trainer.join();
+
+  ASSERT_TRUE(held.Wait().committed);
+  ASSERT_TRUE(ticket->Wait().committed);
+  EXPECT_EQ(service.stats().admitted_peak, 1u);
+  dlrm::DlrmModel restored(SmallModel());
+  (void)RestoreShardedModel(*store, "late", restored);
+  ExpectModelsEqual(model, restored);
 }
 
 // A global shard no table reaches (tables clamp their shard count to their

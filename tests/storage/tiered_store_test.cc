@@ -3,8 +3,9 @@
 // dirty pinning, Delete cancelling pending drains, strict per-key far-write
 // order, the crash-safe dirty-marker protocol (drainer killed at every
 // replication point — recovery finds a drained object or a dirty near copy,
-// never a far-tier hole), and per-tier occupancy parity between the live
-// counters and the offline survey. The concurrency stress runs under TSan in
+// never a far-tier hole), per-tier occupancy parity between the live
+// counters and the offline survey, and a stats probe that neither waits on
+// tier I/O nor calls the far tier. The concurrency stress runs under TSan in
 // CI.
 #include "storage/tiered_store.h"
 
@@ -16,6 +17,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -91,9 +93,10 @@ class GateStore : public ObjectStore {
   int entered_ = 0;
 };
 
-// Near-tier decorator that can hold the *unlocked* data write of designated
-// keys mid-flight — metadata writes (dirty markers, which run under the
-// tiered store's lock) always pass straight through.
+// Near-tier decorator that can hold the Put of designated keys mid-flight:
+// a data key holds the tiered store's *unlocked* data write, a dirty-marker
+// key holds a metadata write made under the tiered store's lock. Keys not
+// held pass straight through.
 class HoldStore : public ObjectStore {
  public:
   explicit HoldStore(std::shared_ptr<ObjectStore> backing)
@@ -145,6 +148,149 @@ class HoldStore : public ObjectStore {
   std::condition_variable cv_;
   std::set<std::string> held_;
   int blocked_ = 0;
+};
+
+// Far-tier decorator whose Deletes can be held mid-flight: the test parks
+// the far re-delete a drain completion issues for a tombstoned key.
+class DeleteHoldStore : public ObjectStore {
+ public:
+  explicit DeleteHoldStore(std::shared_ptr<ObjectStore> backing)
+      : backing_(std::move(backing)) {}
+
+  void Put(const std::string& key, std::vector<std::uint8_t> data) override {
+    backing_->Put(key, std::move(data));
+  }
+  std::optional<std::vector<std::uint8_t>> Get(const std::string& key) override {
+    return backing_->Get(key);
+  }
+  bool Exists(const std::string& key) override { return backing_->Exists(key); }
+  bool Delete(const std::string& key) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (held_) {
+        ++blocked_;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return !held_; });
+      }
+    }
+    return backing_->Delete(key);
+  }
+  std::vector<std::string> List(const std::string& prefix) override {
+    return backing_->List(prefix);
+  }
+  std::uint64_t TotalBytes() override { return backing_->TotalBytes(); }
+  StoreStats Stats() override { return backing_->Stats(); }
+  std::optional<std::uint64_t> SizeOf(const std::string& key) override {
+    return backing_->SizeOf(key);
+  }
+
+  void Hold() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = true;
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = false;
+    cv_.notify_all();
+  }
+  // Blocks until `count` Deletes are waiting.
+  void AwaitBlocked(int count) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this, count] { return blocked_ >= count; });
+  }
+
+ private:
+  std::shared_ptr<ObjectStore> backing_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  int blocked_ = 0;
+};
+
+// Far-tier decorator whose SizeOf can be held after it has read the size:
+// the test parks a drainer between its stat of a torn far copy and the
+// moment it records that size.
+class StatHoldStore : public ObjectStore {
+ public:
+  explicit StatHoldStore(std::shared_ptr<ObjectStore> backing)
+      : backing_(std::move(backing)) {}
+
+  void Put(const std::string& key, std::vector<std::uint8_t> data) override {
+    backing_->Put(key, std::move(data));
+  }
+  std::optional<std::vector<std::uint8_t>> Get(const std::string& key) override {
+    return backing_->Get(key);
+  }
+  bool Exists(const std::string& key) override { return backing_->Exists(key); }
+  bool Delete(const std::string& key) override { return backing_->Delete(key); }
+  std::vector<std::string> List(const std::string& prefix) override {
+    return backing_->List(prefix);
+  }
+  std::uint64_t TotalBytes() override { return backing_->TotalBytes(); }
+  StoreStats Stats() override { return backing_->Stats(); }
+  std::optional<std::uint64_t> SizeOf(const std::string& key) override {
+    auto size = backing_->SizeOf(key);
+    std::unique_lock<std::mutex> lock(mu_);
+    if (held_) {
+      ++blocked_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return !held_; });
+    }
+    return size;
+  }
+
+  void Hold() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = true;
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = false;
+    cv_.notify_all();
+  }
+  // Blocks until `count` SizeOf calls are waiting.
+  void AwaitBlocked(int count) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this, count] { return blocked_ >= count; });
+  }
+
+ private:
+  std::shared_ptr<ObjectStore> backing_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  int blocked_ = 0;
+};
+
+// Far-tier decorator counting List calls: a stats probe must make none.
+class ListCountingStore : public ObjectStore {
+ public:
+  explicit ListCountingStore(std::shared_ptr<ObjectStore> backing)
+      : backing_(std::move(backing)) {}
+
+  void Put(const std::string& key, std::vector<std::uint8_t> data) override {
+    backing_->Put(key, std::move(data));
+  }
+  std::optional<std::vector<std::uint8_t>> Get(const std::string& key) override {
+    return backing_->Get(key);
+  }
+  bool Exists(const std::string& key) override { return backing_->Exists(key); }
+  bool Delete(const std::string& key) override { return backing_->Delete(key); }
+  std::vector<std::string> List(const std::string& prefix) override {
+    lists_.fetch_add(1);
+    return backing_->List(prefix);
+  }
+  std::uint64_t TotalBytes() override { return backing_->TotalBytes(); }
+  StoreStats Stats() override { return backing_->Stats(); }
+  std::optional<std::uint64_t> SizeOf(const std::string& key) override {
+    return backing_->SizeOf(key);
+  }
+
+  int lists() const { return lists_.load(); }
+
+ private:
+  std::shared_ptr<ObjectStore> backing_;
+  std::atomic<int> lists_{0};
 };
 
 class TieredStoreTest : public ::testing::Test {
@@ -588,6 +734,163 @@ TEST_F(TieredStoreTest, ConcurrentSameKeyPutsKeepParityAndConverge) {
   store.FlushDrains();
   EXPECT_EQ(*far_tier->Get("hot"), *near_tier->Get("hot"));
   EXPECT_EQ(store.tier_stats().dirty_objects, 0u);
+  ExpectParity(store);
+}
+
+// tier_stats() is a probe a trainer may call every iteration: it returns
+// while a near-tier Put holds the store's bookkeeping lock (a dirty-marker
+// write, which may fsync), and it never calls the far tier — far occupancy
+// is tracked as far Puts and Deletes complete, not Listed per call.
+TEST_F(TieredStoreTest, TierStatsNeverWaitsOnNearIoNorListsFar) {
+  auto near_inner = std::make_shared<InMemoryStore>();
+  auto hold = std::make_shared<HoldStore>(near_inner);
+  auto far = std::make_shared<ListCountingStore>(std::make_shared<InMemoryStore>());
+  StageExecutor exec;
+  TieredStore store(hold, far, exec);
+  store.Put("a", Bytes("first"));
+  store.FlushDrains();
+  const int lists_before = far->lists();
+
+  const std::string marker = std::string(TieredStore::kDirtyPrefix) + "k";
+  hold->Hold(marker);
+  std::thread writer([&store] { store.Put("k", Bytes("second")); });
+  hold->AwaitBlocked(1);  // the marker Put of "k" is parked inside mu_
+  auto probe = std::async(std::launch::async, [&store] { return store.tier_stats(); });
+  const bool returned =
+      probe.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  EXPECT_TRUE(returned) << "tier_stats() waited behind a held near-tier Put";
+  hold->Release(marker);
+  writer.join();
+  const TierStats mid = probe.get();
+  EXPECT_EQ(mid.near_objects, 1u);
+  EXPECT_EQ(mid.far_objects, 1u);
+  EXPECT_EQ(mid.far_bytes, 5u);
+
+  store.FlushDrains();
+  for (int i = 0; i < 100; ++i) (void)store.tier_stats();
+  EXPECT_EQ(far->lists(), lists_before);
+  const TierStats done = store.tier_stats();
+  EXPECT_EQ(done.far_objects, 2u);
+  EXPECT_EQ(done.far_bytes, 11u);
+  ExpectParity(store);  // the offline survey Lists; counted above already
+}
+
+// Far occupancy is seeded from one far scan when the store opens: objects
+// already on the far tier (written by an earlier instance) are counted, and
+// a Delete through the store takes them off the count.
+TEST_F(TieredStoreTest, FarOccupancySeededAtOpenAndTrackedOnDelete) {
+  auto far_inner = std::make_shared<InMemoryStore>();
+  far_inner->Put("jobs/a/old", Bytes("0123456789"));
+  far_inner->Put("jobs/a/older", Bytes("01234"));
+  StageExecutor exec;
+  TieredStore store(std::make_shared<InMemoryStore>(), far_inner, exec);
+  EXPECT_EQ(store.tier_stats().far_objects, 2u);
+  EXPECT_EQ(store.tier_stats().far_bytes, 15u);
+  ExpectParity(store);
+
+  EXPECT_TRUE(store.Delete("jobs/a/old"));
+  store.Put("jobs/a/older", Bytes("xy"));  // overwrite replaces, not adds
+  store.FlushDrains();
+  EXPECT_EQ(store.tier_stats().far_objects, 1u);
+  EXPECT_EQ(store.tier_stats().far_bytes, 2u);
+  ExpectParity(store);
+}
+
+// A Delete during replication leaves a tombstone, and the drain completion
+// re-deletes the far copy that landed anyway. A Put of the key landing while
+// that re-delete is in flight must keep its own far copy (its drain waits
+// for the re-delete) and must not be counted off the backlog twice — which
+// wrapped the pending count and hung FlushDrains.
+TEST_F(TieredStoreTest, RePutDuringTombstoneRedeleteKeepsItsFarCopy) {
+  auto far_inner = std::make_shared<InMemoryStore>();
+  auto hold_deletes = std::make_shared<DeleteHoldStore>(far_inner);
+  auto gate = std::make_shared<GateStore>(hold_deletes);
+  StageExecutor exec;
+  TieredStoreConfig cfg;
+  cfg.drain_workers = 2;  // a second drainer is free while the re-delete parks
+  cfg.flush_on_close = false;
+  TieredStore store(std::make_shared<InMemoryStore>(), gate, exec, cfg);
+
+  store.Put("k", Bytes("v1"));
+  gate->AwaitPutsEntered(1);       // v1's far Put is in flight
+  EXPECT_TRUE(store.Delete("k"));  // tombstones the in-flight copy
+  hold_deletes->Hold();
+  gate->Open();                    // v1 lands; its completion re-deletes it
+  hold_deletes->AwaitBlocked(1);
+  store.Put("k", Bytes("v2-newer"));  // lands during the re-delete
+  // Give v2's drain a chance to (wrongly) land before the re-delete does.
+  const auto wait_clean = [&store](std::chrono::milliseconds budget) {
+    const auto deadline = std::chrono::steady_clock::now() + budget;
+    while (store.tier_stats().dirty_objects != 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  wait_clean(std::chrono::milliseconds(200));
+  hold_deletes->Release();
+  wait_clean(std::chrono::seconds(10));
+
+  ASSERT_TRUE(far_inner->Get("k").has_value()) << "the re-delete removed the new copy";
+  EXPECT_EQ(*far_inner->Get("k"), Bytes("v2-newer"));
+  store.FlushDrains();  // returns: the backlog count did not wrap
+  EXPECT_EQ(store.tier_stats().dirty_objects, 0u);
+  ExpectParity(store);
+}
+
+// A Delete during replication whose far Put then tears: the Delete's own far
+// Delete ran first (nothing there yet), so the torn prefix lands after it.
+// The drain completion must re-delete it — the key stays dead on the far
+// tier, in List and in Get, and is not counted as far occupancy.
+TEST_F(TieredStoreTest, TornFarPutOfKeyDeletedMidDrainIsReDeleted) {
+  auto far_inner = std::make_shared<InMemoryStore>();
+  FaultConfig fault;
+  fault.fail_nth_put = 1;
+  fault.torn_put = true;
+  auto gate = std::make_shared<GateStore>(std::make_shared<FaultInjectionStore>(far_inner, fault));
+  StageExecutor exec;
+  TieredStore store(std::make_shared<InMemoryStore>(), gate, exec);
+
+  store.Put("k", Bytes("0123456789"));
+  gate->AwaitPutsEntered(1);       // the far Put is in flight
+  EXPECT_TRUE(store.Delete("k"));  // its far Delete finds nothing yet
+  gate->Open();                    // the Put tears: half the bytes land
+  store.FlushDrains();
+
+  EXPECT_FALSE(far_inner->Exists("k")) << "the torn copy survived the Delete";
+  EXPECT_FALSE(store.Get("k").has_value());
+  EXPECT_TRUE(store.List("").empty());
+  EXPECT_EQ(store.tier_stats().far_objects, 0u);
+  ExpectParity(store);
+}
+
+// A failed far Put re-stats the key to record a torn copy. A Delete whose
+// far Delete lands between that stat and the record must win: recording the
+// stale size would leave a phantom far object that no survey finds.
+TEST_F(TieredStoreTest, DeleteBetweenTornPutAndItsStatLeavesNoPhantomFarEntry) {
+  auto far_inner = std::make_shared<InMemoryStore>();
+  FaultConfig fault;
+  fault.fail_nth_put = 1;
+  fault.torn_put = true;
+  auto stat_hold =
+      std::make_shared<StatHoldStore>(std::make_shared<FaultInjectionStore>(far_inner, fault));
+  auto gate = std::make_shared<GateStore>(stat_hold);
+  StageExecutor exec;
+  TieredStore store(std::make_shared<InMemoryStore>(), gate, exec);
+
+  store.Put("k", Bytes("0123456789"));
+  gate->AwaitPutsEntered(1);
+  stat_hold->Hold();
+  gate->Open();  // the Put tears; the drainer stats the torn copy and parks
+  stat_hold->AwaitBlocked(1);
+  EXPECT_TRUE(store.Delete("k"));  // removes the torn copy from the far tier
+  EXPECT_FALSE(far_inner->Exists("k"));
+  stat_hold->Release();  // the drainer now holds a stale size
+  store.FlushDrains();
+
+  EXPECT_FALSE(far_inner->Exists("k"));
+  EXPECT_EQ(store.tier_stats().far_objects, 0u);
+  EXPECT_EQ(store.tier_stats().far_bytes, 0u);
+  EXPECT_EQ(store.TotalBytes(), 0u);
   ExpectParity(store);
 }
 
