@@ -27,6 +27,7 @@
 #include <memory>
 
 #include "bench_common.h"
+#include "core/maintenance.h"
 #include "core/pipeline/executor.h"
 #include "core/recovery.h"
 #include "core/snapshot.h"
@@ -218,7 +219,7 @@ int main(int argc, char** argv) {
     storage::TieredStore evicting(near_tier, far_tier, exec2, cfg);
     WriteFull(evicting, model, kRuns + 1);
     evicting.FlushDrains();
-    core::GarbageCollectJob(evicting, kJob, /*keep_lineages=*/1);
+    core::GcJob(evicting, kJob);  // keeps one lineage
     evicting.FlushDrains();
     const storage::TierStats stats = evicting.tier_stats();
     std::printf("  after eviction + GC: near %llu B (cap %llu B), %llu evictions\n",

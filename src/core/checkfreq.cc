@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/recovery.h"
+#include "core/maintenance.h"
 
 namespace cnr::core {
 
@@ -86,7 +86,12 @@ std::vector<CheckFreqStats> CheckFreqBaseline::Run(std::size_t checkpoints) {
     const std::uint64_t id = next_checkpoint_id_++;
     const auto result =
         WriteCheckpoint(*store_, snap, plan, wcfg, id, reader_state.Encode(), &pool_);
-    if (cfg_.gc) GarbageCollectJob(*store_, cfg_.job);
+    if (cfg_.gc) {
+      // CheckFreq keeps only the newest full: the same per-job GC kernel the
+      // service runs after each commit, refusing on a broken newest lineage.
+      const GcJobReport gc = GcJob(*store_, cfg_.job);
+      if (!gc.refused.empty()) throw std::runtime_error("gc: " + gc.refused);
+    }
 
     CheckFreqStats stats;
     stats.checkpoint_id = id;

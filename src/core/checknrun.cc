@@ -191,8 +191,4 @@ std::vector<IntervalStats> CheckNRun::Run(std::size_t intervals) {
   return {completed_.begin() + static_cast<std::ptrdiff_t>(first), completed_.end()};
 }
 
-void CheckNRun::GarbageCollect(storage::ObjectStore& store, const std::string& job) {
-  GarbageCollectJob(store, job);
-}
-
 }  // namespace cnr::core

@@ -187,11 +187,6 @@ class CheckNRun {
   // always a fresh full baseline (the policy starts with no baseline).
   void SetNextCheckpointId(std::uint64_t next_id);
 
-  // Deletes every checkpoint of `job` that is not on the recovery chain of
-  // the newest one. Exposed for tests; the commit stage applies it after
-  // each commit when cfg.gc is set.
-  static void GarbageCollect(storage::ObjectStore& store, const std::string& job);
-
  private:
   // A submitted-but-not-finalized interval: stats known at submission plus
   // the service's future for the rest.

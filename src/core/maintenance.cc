@@ -28,6 +28,10 @@ std::vector<std::string> ListStoreJobs(storage::ObjectStore& store) {
 
 namespace {
 
+bool IsManifested(const JobSurvey& survey, std::uint64_t id) {
+  return std::binary_search(survey.ids.begin(), survey.ids.end(), id);
+}
+
 // Chain of `from` via the survey's in-memory parent links, oldest first.
 // Damage-tolerant: a missing parent, self-reference, or cycle ends the walk
 // (the chain is then unrestorable — scrub's job to report, not the survey's).
@@ -42,7 +46,7 @@ std::vector<std::uint64_t> WalkChain(const JobSurvey& survey, std::uint64_t from
     if (it == survey.parent_of.end()) break;  // a full checkpoint roots the chain
     const std::uint64_t parent = it->second;
     if (seen.contains(parent)) break;  // self-reference or cycle: damaged
-    if (!std::binary_search(survey.ids.begin(), survey.ids.end(), parent)) break;
+    if (!IsManifested(survey, parent)) break;
     cur = parent;
   }
   std::reverse(chain.begin(), chain.end());
@@ -164,19 +168,19 @@ JobSurvey SurveyJob(storage::ObjectStore& store, const std::string& job,
   // manifested is attributed to that checkpoint's footprint, so live/stale
   // classification, quota eviction, and GC sizing treat base + log as one
   // unit. A log whose base manifest is gone is debris — left unreferenced
-  // here, so pass 3 reports it with the orphans. Segments are sized with a
-  // Get (no stat call), like manifests: they belong to a manifested lineage,
-  // so they are measured even when measure_orphans = false.
+  // here, so pass 3 reports it with the orphans. Segments belong to a
+  // manifested lineage, so they are measured (a stat, never a download)
+  // even when measure_orphans = false.
   for (const auto& key : keys) {
     const auto base = DeltaLogBaseOf(key, dlog_root);
     if (!base) continue;
-    if (!std::binary_search(survey.ids.begin(), survey.ids.end(), *base)) continue;
-    const auto blob = store.Get(key);
-    if (!blob) continue;  // raced a concurrent truncation or compaction
+    if (!IsManifested(survey, *base)) continue;
+    const auto size = store.SizeOf(key);
+    if (!size) continue;  // raced a concurrent truncation or compaction
     referenced.insert(key);
-    survey.objects[key] = blob->size();
-    survey.bytes_by_checkpoint[*base] += blob->size();
-    survey.dlog_bytes_by_base[*base] += blob->size();
+    survey.objects[key] = *size;
+    survey.bytes_by_checkpoint[*base] += *size;
+    survey.dlog_bytes_by_base[*base] += *size;
   }
 
   // Pass 2: classify checkpoints as live or stale. Unsharded: live is the
@@ -202,7 +206,7 @@ JobSurvey SurveyJob(storage::ObjectStore& store, const std::string& job,
     }
   }
   // The newest cut's COORD/dense objects back the live state; older cuts'
-  // are stale (evictable as whole units, StaleCutUnits).
+  // are stale (evictable as whole units, PlanRetention).
   for (std::size_t i = 0; i < survey.cuts.size(); ++i) {
     if (i + 1 == survey.cuts.size()) {
       survey.live_bytes += survey.cuts[i].object_bytes();
@@ -213,16 +217,15 @@ JobSurvey SurveyJob(storage::ObjectStore& store, const std::string& job,
 
   // Pass 3: anything under the job's prefix that no manifest references is
   // an orphan; measure it so reconciliation can account for it. Skipped for
-  // callers that only care about manifested lineages — sizing requires
-  // reading each orphan's contents.
+  // callers that only care about manifested lineages.
   if (measure_orphans) {
     for (const auto& key : keys) {
       if (referenced.contains(key)) continue;
-      const auto blob = store.Get(key);
-      if (!blob) continue;
+      const auto size = store.SizeOf(key);
+      if (!size) continue;
       survey.orphans.push_back(key);
-      survey.objects[key] = blob->size();
-      survey.orphan_bytes += blob->size();
+      survey.objects[key] = *size;
+      survey.orphan_bytes += *size;
     }
   }
   return survey;
@@ -253,94 +256,149 @@ std::set<std::uint64_t> KeptLineages(const JobSurvey& survey, std::size_t keep_l
   return kept;
 }
 
-std::vector<StaleCutUnit> StaleCutUnits(const JobSurvey& survey) {
-  std::vector<StaleCutUnit> units;
-  if (survey.cuts.size() < 2) return units;
-  // Walk cuts newest-first so an id shared between two stale cuts is
-  // attributed to the NEWER one: consuming units oldest-first then never
-  // deletes an ancestor a remaining cut still needs.
-  std::set<std::uint64_t> taken = CutLiveSet(survey);
-  for (std::size_t i = survey.cuts.size() - 1; i-- > 0;) {
+// ------------------------------------------------------------ retention -----
+
+namespace {
+
+// Why `id`'s recovery chain does not reach a full checkpoint, or "" if it
+// does.
+std::string BrokenChain(const JobSurvey& survey, std::uint64_t id) {
+  if (!IsManifested(survey, id)) {
+    return "checkpoint " + std::to_string(id) + " has no readable manifest";
+  }
+  const std::uint64_t root = WalkChain(survey, id).front();
+  const auto it = survey.parent_of.find(root);
+  if (it == survey.parent_of.end()) return {};
+  std::string why = "checkpoint " + std::to_string(it->second) + " (parent of checkpoint " +
+                    std::to_string(root);
+  if (root != id) why += ", on the chain of checkpoint " + std::to_string(id);
+  return why + ") is missing or unreadable";
+}
+
+// The newest lineage must reach a full checkpoint before anything older may
+// go: it is the only proof that the job still has a restorable state.
+std::string RefusalOf(const JobSurvey& survey) {
+  std::string why;
+  if (!survey.cuts.empty()) {
+    for (const auto& e : survey.cuts.back().shard_map) {
+      if (why.empty()) why = BrokenChain(survey, e.checkpoint_id);
+    }
+  } else if (!survey.ids.empty()) {
+    why = BrokenChain(survey, survey.ids.back());
+  }
+  if (why.empty()) return why;
+  return "job " + survey.job + ": the newest lineage does not reach a full checkpoint (" +
+         why + "); nothing deleted";
+}
+
+LineageUnit UnitOf(const JobSurvey& survey, std::vector<std::uint64_t> ids) {
+  LineageUnit unit;
+  std::sort(ids.begin(), ids.end());
+  for (const auto id : ids) {
+    unit.bytes += survey.bytes_by_checkpoint.at(id);  // includes its delta log
+    if (survey.dlog_bytes_by_base.contains(id)) unit.dlog_ids.push_back(id);
+  }
+  unit.ids = std::move(ids);
+  return unit;
+}
+
+// The one delete routine. Keys go in List order, and the publication
+// objects ("COORD", "MANIFEST") sort before every lowercase sibling, so a
+// cut leaves recovery's view before its dense blob goes and a checkpoint
+// before its chunks: an interrupted delete leaves unreferenced debris, never
+// a published object with holes. Delta-log prefixes are Listed only where
+// the survey saw a log.
+void DeleteUnit(storage::ObjectStore& store, const std::string& job, const LineageUnit& unit) {
+  const auto delete_prefix = [&store](const std::string& prefix) {
+    for (const auto& key : store.List(prefix)) store.Delete(key);
+  };
+  if (unit.is_cut) delete_prefix(storage::Manifest::CutPrefix(job, unit.epoch));
+  for (const auto id : unit.ids) delete_prefix(storage::Manifest::CheckpointPrefix(job, id));
+  for (const auto id : unit.dlog_ids) delete_prefix(storage::Manifest::DeltaLogPrefix(job, id));
+}
+
+}  // namespace
+
+RetentionPlan PlanRetention(const JobSurvey& survey, std::size_t keep_lineages,
+                            const std::set<std::uint64_t>& pinned) {
+  RetentionPlan plan;
+  plan.refused = RefusalOf(survey);
+  if (!plan.refused.empty()) return plan;
+  keep_lineages = std::max<std::size_t>(keep_lineages, 1);
+  std::set<std::uint64_t> taken = KeptLineages(survey, keep_lineages);
+  for (const auto id : pinned) {
+    const auto chain = WalkChain(survey, id);
+    taken.insert(chain.begin(), chain.end());
+  }
+  // Cuts beyond retention, walked newest-first so an id two of them reach
+  // is attributed to the NEWER one: deleting units oldest-first then never
+  // removes an ancestor a remaining cut still needs.
+  const std::size_t stale_cuts = survey.cuts.size() - std::min(keep_lineages, survey.cuts.size());
+  for (std::size_t i = stale_cuts; i-- > 0;) {
     const CutSurvey& cut = survey.cuts[i];
-    StaleCutUnit unit;
-    unit.epoch = cut.epoch;
-    unit.bytes = cut.object_bytes();
-    std::set<std::uint64_t> exclusive;
+    std::vector<std::uint64_t> exclusive;
     for (const auto& e : cut.shard_map) {
       for (const auto id : WalkChain(survey, e.checkpoint_id)) {
-        if (taken.insert(id).second) exclusive.insert(id);
+        if (IsManifested(survey, id) && taken.insert(id).second) exclusive.push_back(id);
       }
     }
-    for (const auto id : exclusive) {
-      unit.ids.push_back(id);
-      const auto it = survey.bytes_by_checkpoint.find(id);
-      if (it != survey.bytes_by_checkpoint.end()) unit.bytes += it->second;
-    }
-    units.push_back(std::move(unit));
+    LineageUnit unit = UnitOf(survey, std::move(exclusive));
+    unit.is_cut = true;
+    unit.epoch = cut.epoch;
+    unit.bytes += cut.object_bytes();
+    plan.units.push_back(std::move(unit));
   }
-  std::reverse(units.begin(), units.end());  // oldest first
-  return units;
+  std::reverse(plan.units.begin(), plan.units.end());  // oldest cut first
+  for (const auto id : survey.ids) {
+    if (!taken.contains(id)) plan.units.push_back(UnitOf(survey, {id}));
+  }
+  return plan;
 }
 
 // ------------------------------------------------------------ gc ------------
 
-GcReport GcStore(storage::ObjectStore& store, const GcOptions& options,
-                 const KeepResolver& keep) {
-  GcReport report;
-  report.dry_run = options.dry_run;
-  for (const auto& job : ListStoreJobs(store)) {
-    const JobSurvey survey = SurveyJob(store, job, options.remove_orphans);
-    std::size_t keep_lineages = std::max<std::size_t>(options.keep_lineages, 1);
-    if (keep) keep_lineages = std::max(keep_lineages, keep(job));
-    const auto kept = KeptLineages(survey, keep_lineages);
+void GcReport::Add(GcJobReport job) {
+  if (job.evicted.empty() && job.evicted_cuts.empty() && job.orphans_removed == 0 &&
+      job.refused.empty()) {
+    return;
+  }
+  bytes_freed += job.bytes_freed + job.orphan_bytes;
+  jobs.push_back(std::move(job));
+}
 
-    GcJobReport jr;
-    jr.job = job;
-    // Cuts beyond retention go first, COORD before dense ("COORD" < "dense"
-    // lexicographically, so List order is already manifest-first): once a
-    // cut's COORD is gone the cut is invisible to recovery, and deleting its
-    // now-unreferenced sub-checkpoints below cannot tear anything.
-    if (survey.cuts.size() > keep_lineages) {
-      for (std::size_t i = 0; i + keep_lineages < survey.cuts.size(); ++i) {
-        const CutSurvey& cut = survey.cuts[i];
-        jr.evicted_cuts.push_back(cut.epoch);
-        jr.bytes_freed += cut.object_bytes();
-        if (!options.dry_run) {
-          for (const auto& key :
-               store.List(storage::Manifest::CutPrefix(job, cut.epoch))) {
-            store.Delete(key);
-          }
-        }
-      }
-    }
-    for (const auto id : survey.ids) {
-      if (kept.contains(id)) continue;
-      jr.evicted.push_back(id);
-      jr.bytes_freed += survey.bytes_by_checkpoint.at(id);  // includes its delta log
-      if (!options.dry_run) {
-        for (const auto& key : store.List(storage::Manifest::CheckpointPrefix(job, id))) {
-          store.Delete(key);
-        }
-        // The checkpoint's delta log is one lineage unit with its base: a
-        // log without its base is unrestorable, so it goes in the same
-        // breath (and was already counted in bytes_by_checkpoint).
-        for (const auto& key : store.List(storage::Manifest::DeltaLogPrefix(job, id))) {
-          store.Delete(key);
-        }
-      }
-    }
-    if (options.remove_orphans) {
-      for (const auto& key : survey.orphans) {
-        ++jr.orphans_removed;
-        jr.orphan_bytes += survey.objects.at(key);
-        if (!options.dry_run) store.Delete(key);
-      }
-    }
-    if (!jr.evicted.empty() || !jr.evicted_cuts.empty() || jr.orphans_removed > 0) {
-      report.bytes_freed += jr.bytes_freed + jr.orphan_bytes;
-      report.jobs.push_back(std::move(jr));
+GcJobReport GcJob(storage::ObjectStore& store, const std::string& job,
+                  const GcOptions& options, const std::set<std::uint64_t>& pinned) {
+  const JobSurvey survey = SurveyJob(store, job, options.remove_orphans);
+  const RetentionPlan plan = PlanRetention(survey, options.keep_lineages, pinned);
+  GcJobReport report;
+  report.job = job;
+  report.refused = plan.refused;
+  if (!plan.refused.empty()) {
+    CNR_LOG_WARN << "maintenance: GC refused — " << plan.refused
+                 << " (see docs/OPERATIONS.md)";
+    return report;
+  }
+  for (const auto& unit : plan.units) {
+    if (unit.is_cut) report.evicted_cuts.push_back(unit.epoch);
+    report.evicted.insert(report.evicted.end(), unit.ids.begin(), unit.ids.end());
+    report.bytes_freed += unit.bytes;
+    if (!options.dry_run) DeleteUnit(store, job, unit);
+  }
+  std::sort(report.evicted.begin(), report.evicted.end());
+  if (options.remove_orphans) {
+    for (const auto& key : survey.orphans) {
+      ++report.orphans_removed;
+      report.orphan_bytes += survey.objects.at(key);
+      if (!options.dry_run) store.Delete(key);
     }
   }
+  return report;
+}
+
+GcReport GcStore(storage::ObjectStore& store, const GcOptions& options) {
+  GcReport report;
+  report.dry_run = options.dry_run;
+  for (const auto& job : ListStoreJobs(store)) report.Add(GcJob(store, job, options));
   return report;
 }
 
@@ -365,6 +423,18 @@ struct MaintenanceManager::Impl {
     util::MutexLock lock(mu);
     const auto it = jobs.find(job);
     return it == jobs.end() ? 0 : it->second.priority;
+  }
+
+  std::size_t KeepOf(const std::string& job) const EXCLUDES(mu) {
+    util::MutexLock lock(mu);
+    const auto it = jobs.find(job);
+    return it == jobs.end() ? 1 : it->second.keep_lineages;
+  }
+
+  std::set<std::uint64_t> PinsOf(const std::string& job) const EXCLUDES(mu) {
+    util::MutexLock lock(mu);
+    const auto it = pins.find(job);
+    return it == pins.end() ? std::set<std::uint64_t>{} : it->second;
   }
 
   // The executor the scrub stage (and each scrub's inner fetch/decode
@@ -509,9 +579,10 @@ struct MaintenanceManager::Impl {
   std::shared_ptr<storage::ObjectStore> store;
   MaintenanceConfig cfg;
 
-  mutable util::Mutex mu;  // registry, stats, schedule, stop flag
+  mutable util::Mutex mu;  // registry, stats, schedule, pins, stop flag
   bool stop GUARDED_BY(mu) = false;
   std::map<std::string, JobMeta> jobs GUARDED_BY(mu);
+  std::map<std::string, std::set<std::uint64_t>> pins GUARDED_BY(mu);
 
   // Per-job incremental-scrub verdict caches (ValidatedCache). The map is
   // guarded by mu; each entry is heap-held so the ScrubCache pointer handed
@@ -530,25 +601,14 @@ struct MaintenanceManager::Impl {
   // ACQUIRED_BEFORE makes that inversion a compile error under clang.
   util::Mutex evict_mu ACQUIRED_BEFORE(mu);
 
-  // Quota-eviction candidate cache (guarded by evict_mu): the stale
-  // checkpoints of every store job, in eviction order, consumed in place as
-  // evictions proceed. Valid while its epoch matches mutation_epoch —
-  // NoteStoreMutation bumps the epoch on commit/GC.
+  // Quota-eviction candidate cache (guarded by evict_mu): every store job's
+  // retention-plan units, in eviction order, consumed in place as evictions
+  // proceed. Valid while its epoch matches mutation_epoch — NoteStoreMutation
+  // bumps the epoch on commit/GC/pin.
   struct Candidate {
     std::uint32_t priority = 0;
     std::string job;
-    std::uint64_t id = 0;     // checkpoint id, or cut epoch when is_cut
-    std::uint64_t bytes = 0;
-    // A stale coordinated cut evicted as ONE unit: the cut's COORD/dense
-    // objects plus `cut_ids` (sub-checkpoints only this cut reaches).
-    // Evicting half a cut would tear it.
-    bool is_cut = false;
-    std::vector<std::uint64_t> cut_ids;
-    // The subset of this candidate's ids ({id}, or cut_ids when is_cut) that
-    // carry a delta log, per the survey — so the delete enumerates dlog/
-    // prefixes only where objects actually live, and a burst of quota trips
-    // on log-less jobs stays at one List (the checkpoint's own prefix).
-    std::vector<std::uint64_t> dlog_ids;
+    LineageUnit unit;
   };
   std::atomic<std::uint64_t> mutation_epoch{0};
   bool survey_cached GUARDED_BY(evict_mu) = false;
@@ -655,58 +715,39 @@ std::uint64_t MaintenanceManager::EvictForQuota(std::uint64_t needed_bytes,
   needed_bytes = std::max<std::uint64_t>(needed_bytes, 1);
   util::MutexLock evict_lock(impl_->evict_mu);
 
-  // Candidates: every stale (off-live-chain) checkpoint in the store,
-  // ordered lowest priority first, then per job oldest first. Live chains
-  // and unpublished (manifest-less) objects are never candidates, so an
-  // in-flight checkpoint and every job's recovery path stay intact.
+  // Candidates: every store job's retention-plan units at one kept lineage,
+  // ordered lowest priority first, then per job in plan order. Newest
+  // lineages, pinned ids and unpublished (manifest-less) objects are never
+  // candidates, so an in-flight checkpoint and every job's recovery path
+  // stay intact.
   //
   // The survey is cached across calls: it costs one List + manifest walk per
   // store job, on a store worker's critical path, and a burst of quota trips
-  // would otherwise repeat it per trip. The cache stays valid until a commit
-  // or GC re-draws the live/stale line (NoteStoreMutation bumps the epoch);
-  // our own evictions consume it in place — deleting a stale checkpoint
-  // cannot change any other candidate's staleness.
+  // would otherwise repeat it per trip. The cache stays valid until a commit,
+  // GC or pin re-draws the line (NoteStoreMutation bumps the epoch); our own
+  // evictions consume it in place — deleting a unit cannot change any other
+  // candidate's staleness.
   const std::uint64_t epoch = impl_->mutation_epoch.load(std::memory_order_acquire);
   if (!impl_->survey_cached || impl_->survey_epoch != epoch) {
     impl_->survey_cache.clear();
     for (const auto& job : ListStoreJobs(*impl_->store)) {
-      // Orphans are never candidates; skip reading them (they would include
-      // every in-flight checkpoint's chunks).
+      // Orphans are never candidates; skip measuring them.
       const JobSurvey survey = SurveyJob(*impl_->store, job, /*measure_orphans=*/false);
-      const std::uint32_t priority = impl_->PriorityOf(job);
-      // Jobs with coordinated cuts evict stale cuts as whole units; stale
-      // ids no unit covers (torn-cut debris older than the newest cut) are
-      // plain candidates after them.
-      std::set<std::uint64_t> in_units;
-      for (auto& unit : StaleCutUnits(survey)) {
-        in_units.insert(unit.ids.begin(), unit.ids.end());
-        std::vector<std::uint64_t> dlog_ids;
-        for (const auto id : unit.ids) {
-          if (survey.dlog_bytes_by_base.contains(id)) dlog_ids.push_back(id);
-        }
-        impl_->survey_cache.push_back({priority, job, unit.epoch, unit.bytes,
-                                       /*is_cut=*/true, std::move(unit.ids),
-                                       std::move(dlog_ids)});
+      RetentionPlan plan = PlanRetention(survey, 1, impl_->PinsOf(job));
+      if (!plan.refused.empty()) {
+        CNR_LOG_WARN << "maintenance: quota eviction skips " << plan.refused;
+        continue;
       }
-      for (const auto id : survey.stale) {
-        if (in_units.contains(id)) continue;
-        std::vector<std::uint64_t> dlog_ids;
-        if (survey.dlog_bytes_by_base.contains(id)) dlog_ids.push_back(id);
-        impl_->survey_cache.push_back({priority, job, id,
-                                       survey.bytes_by_checkpoint.at(id),
-                                       /*is_cut=*/false, {}, std::move(dlog_ids)});
+      const std::uint32_t priority = impl_->PriorityOf(job);
+      for (auto& unit : plan.units) {
+        impl_->survey_cache.push_back({priority, job, std::move(unit)});
       }
     }
-    std::sort(impl_->survey_cache.begin(), impl_->survey_cache.end(),
-              [](const Impl::Candidate& a, const Impl::Candidate& b) {
-                if (a.priority != b.priority) return a.priority < b.priority;
-                if (a.job != b.job) return a.job < b.job;
-                // Whole stale cuts (oldest first) before loose ids: the
-                // units carry the bulk, and consuming them in epoch order
-                // preserves every remaining cut's ancestors.
-                if (a.is_cut != b.is_cut) return a.is_cut;
-                return a.id < b.id;
-              });
+    std::stable_sort(impl_->survey_cache.begin(), impl_->survey_cache.end(),
+                     [](const Impl::Candidate& a, const Impl::Candidate& b) {
+                       if (a.priority != b.priority) return a.priority < b.priority;
+                       return a.job < b.job;
+                     });
     impl_->survey_cached = true;
     impl_->survey_epoch = epoch;  // the epoch observed BEFORE the survey ran
   }
@@ -715,51 +756,24 @@ std::uint64_t MaintenanceManager::EvictForQuota(std::uint64_t needed_bytes,
   std::size_t consumed = 0;
   for (const auto& c : impl_->survey_cache) {
     if (freed >= needed_bytes) break;
-    if (c.is_cut) {
-      // One unit, cut objects first (COORD before dense in List order): the
-      // cut disappears from recovery before any of its data does.
-      for (const auto& key :
-           impl_->store->List(storage::Manifest::CutPrefix(c.job, c.id))) {
-        impl_->store->Delete(key);
-      }
-      for (const auto id : c.cut_ids) {
-        for (const auto& key :
-             impl_->store->List(storage::Manifest::CheckpointPrefix(c.job, id))) {
-          impl_->store->Delete(key);
-        }
-      }
-    } else {
-      for (const auto& key :
-           impl_->store->List(storage::Manifest::CheckpointPrefix(c.job, c.id))) {
-        impl_->store->Delete(key);
-      }
-    }
-    // Checkpoint + its delta log are one lineage unit (candidate bytes
-    // already count both, via SurveyJob's attribution); dlog_ids lists
-    // exactly the bases with segments, so log-less evictions List nothing
-    // extra here.
-    for (const auto id : c.dlog_ids) {
-      for (const auto& key :
-           impl_->store->List(storage::Manifest::DeltaLogPrefix(c.job, id))) {
-        impl_->store->Delete(key);
-      }
-    }
-    freed += c.bytes;
+    DeleteUnit(*impl_->store, c.job, c.unit);
+    freed += c.unit.bytes;
     ++consumed;
-    if (c.is_cut) {
+    if (c.unit.is_cut) {
       CNR_LOG_WARN << "maintenance: quota pressure (job " << requesting_job
-                   << ") evicted stale cut " << c.id << " of job " << c.job << " ("
-                   << c.cut_ids.size() << " sub-checkpoints, " << c.bytes
+                   << ") evicted stale cut " << c.unit.epoch << " of job " << c.job << " ("
+                   << c.unit.ids.size() << " sub-checkpoints, " << c.unit.bytes
                    << " bytes, priority " << c.priority << ")";
     } else {
       CNR_LOG_WARN << "maintenance: quota pressure (job " << requesting_job
-                   << ") evicted stale checkpoint " << c.id << " of job " << c.job << " ("
-                   << c.bytes << " bytes, priority " << c.priority << ")";
+                   << ") evicted stale checkpoint " << c.unit.ids.front() << " of job "
+                   << c.job << " (" << c.unit.bytes << " bytes, priority " << c.priority
+                   << ")";
     }
     util::MutexLock lock(impl_->mu);
     auto& stats = impl_->jobs[c.job].stats;
-    stats.evicted_checkpoints += c.is_cut ? c.cut_ids.size() : 1;
-    stats.evicted_bytes += c.bytes;
+    stats.evicted_checkpoints += c.unit.ids.size();
+    stats.evicted_bytes += c.unit.bytes;
   }
   impl_->survey_cache.erase(impl_->survey_cache.begin(),
                             impl_->survey_cache.begin() +
@@ -767,16 +781,60 @@ std::uint64_t MaintenanceManager::EvictForQuota(std::uint64_t needed_bytes,
   return freed;
 }
 
-GcReport MaintenanceManager::Gc(const GcOptions& options) {
-  GcOptions safe = options;
-  // A live service cannot tell an in-flight checkpoint's objects from
-  // orphans; orphan removal is for offline stores (cnr_inspect gc).
-  safe.remove_orphans = false;
-  GcReport report = GcStore(*impl_->store, safe, [this](const std::string& job) {
+void MaintenanceManager::WithQuotaEviction(const std::string& job, std::uint64_t needed_bytes,
+                                           const std::function<void()>& write) {
+  for (;;) {
+    try {
+      write();
+      return;
+    } catch (const storage::QuotaExceeded&) {
+      if (!impl_->cfg.evict_on_quota) throw;
+      if (EvictForQuota(needed_bytes, job) == 0) break;
+    }
+  }
+  // Nothing left to evict — but a CONCURRENT trip may have consumed the last
+  // candidates while freeing exactly the bytes this write needs (two store
+  // workers hitting the quota together: the first evicts, the second finds
+  // the candidate survey spent). This final attempt's QuotaExceeded stands.
+  write();
+}
+
+void MaintenanceManager::Pin(const std::string& job, const std::vector<std::uint64_t>& ids) {
+  {
     util::MutexLock lock(impl_->mu);
-    const auto it = impl_->jobs.find(job);
-    return it == impl_->jobs.end() ? std::size_t{1} : it->second.keep_lineages;
-  });
+    impl_->pins[job].insert(ids.begin(), ids.end());
+  }
+  NoteStoreMutation();
+}
+
+void MaintenanceManager::Unpin(const std::string& job) {
+  {
+    util::MutexLock lock(impl_->mu);
+    impl_->pins.erase(job);
+  }
+  NoteStoreMutation();
+}
+
+GcJobReport MaintenanceManager::GcAfterCommit(const std::string& job) {
+  GcOptions options;
+  options.keep_lineages = impl_->KeepOf(job);
+  GcJobReport report = GcJob(*impl_->store, job, options, impl_->PinsOf(job));
+  if (!report.refused.empty()) throw std::runtime_error("gc: " + report.refused);
+  if (report.bytes_freed > 0) NoteStoreMutation();
+  return report;
+}
+
+GcReport MaintenanceManager::Gc(const GcOptions& options) {
+  GcReport report;
+  report.dry_run = options.dry_run;
+  for (const auto& job : ListStoreJobs(*impl_->store)) {
+    GcOptions safe = options;
+    // A live service cannot tell an in-flight checkpoint's objects from
+    // orphans; orphan removal is for offline stores (cnr_inspect gc).
+    safe.remove_orphans = false;
+    safe.keep_lineages = std::max(options.keep_lineages, impl_->KeepOf(job));
+    report.Add(GcJob(*impl_->store, job, safe, impl_->PinsOf(job)));
+  }
   if (!report.dry_run && report.bytes_freed > 0) NoteStoreMutation();
   return report;
 }

@@ -15,9 +15,11 @@
 //      ground truth behind startup reconciliation, GC planning, the
 //      `cnr_inspect <dir> jobs` overview, and the occupancy-parity invariant
 //      (docs/MANIFEST_FORMAT.md).
-//   2. GcStore — the garbage-collection kernel with dry-run reporting, used
-//      by MaintenanceManager::Gc, quota-pressure eviction, and
-//      `cnr_inspect <dir> gc`.
+//   2. Retention — PlanRetention is the one rule deciding what recovery no
+//      longer needs (paper §4.4), and GcJob the one per-job GC kernel built
+//      on it. Every deleter runs them: a plain job's post-commit hook, a
+//      committed cut, MaintenanceManager::Gc, quota eviction, the CheckFreq
+//      baseline, and `cnr_inspect <dir> gc`.
 //   3. MaintenanceManager — the object core::CheckpointService owns: it
 //      seeds the AccountingStore from the store's manifests at start
 //      (reconciliation), evicts stale lineages in priority order when a
@@ -96,13 +98,13 @@ struct JobSurvey {
   // Delta-log bytes per base checkpoint (core/delta_log.h): every object
   // under jobs/<job>/dlog/<base>/ whose base is manifested. A delta log
   // whose base manifest is gone is debris and surfaces in `orphans`. Segment
-  // objects are sized with a Get (the store has no stat call), like
-  // manifests — the log is part of a manifested lineage, so unlike orphans
-  // it is measured even when measure_orphans = false.
+  // objects are sized with ObjectStore::SizeOf, never downloaded — the log
+  // is part of a manifested lineage, so unlike orphans it is measured even
+  // when measure_orphans = false.
   std::map<std::uint64_t, std::uint64_t> dlog_bytes_by_base;
   // Keys under the job's prefix referenced by NO manifest: chunks of
   // checkpoints that failed before publishing, or debris of a crashed run.
-  // Orphans are measured with a Get and included in `objects`, so
+  // Orphans are sized with SizeOf and included in `objects`, so
   // reconciliation accounts for them too — they occupy quota like anything.
   std::vector<std::string> orphans;
   // Coordinated cuts of the job, ascending by epoch (empty for unsharded
@@ -119,23 +121,23 @@ struct JobSurvey {
 // Jobs with any object under the "jobs/<job>/" key convention.
 std::vector<std::string> ListStoreJobs(storage::ObjectStore& store);
 
-// Surveys one job with reads only. Tolerant of damage: a manifest that is
-// missing or undecodable ends the chain walk instead of throwing (scrub is
-// the tool that *diagnoses* damage; the survey just refuses to count what it
-// cannot prove).
+// Surveys one job with reads only: one List of the job's prefix, one Get
+// per manifest, and a SizeOf (a stat, no payload) for every other object it
+// measures. Tolerant of damage: a manifest that is missing or undecodable
+// ends the chain walk instead of throwing (scrub is the tool that
+// *diagnoses* damage; the survey just refuses to count what it cannot
+// prove).
 //
-// Sizing orphans requires Get-ing each unreferenced object's contents (the
-// store has no stat call) — on a live store that means reading every
-// in-flight checkpoint's chunks. Callers that only need the manifested
-// lineages (quota eviction, GC without orphan removal) pass
-// measure_orphans = false and get an empty orphan set instead.
+// Callers that only need the manifested lineages (quota eviction, GC
+// without orphan removal) pass measure_orphans = false and get an empty
+// orphan set — on a live store every in-flight checkpoint's chunks look
+// like orphans.
 JobSurvey SurveyJob(storage::ObjectStore& store, const std::string& job,
                     bool measure_orphans = true);
 
 // Ids on the recovery chains of the `keep_lineages` newest manifested
-// checkpoints — what GC must not touch. Computed from the survey's in-memory
-// parent links; keep_lineages == 0 is treated as 1 (the newest lineage is
-// sacred).
+// checkpoints. Computed from the survey's in-memory parent links;
+// keep_lineages == 0 is treated as 1 (the newest lineage is sacred).
 //
 // Cut-aware: for a job with coordinated cuts, a "lineage" is a whole cut —
 // the union of the cut's shards' recovery chains. Keeping the newest
@@ -144,19 +146,38 @@ JobSurvey SurveyJob(storage::ObjectStore& store, const std::string& job,
 // in flight).
 std::set<std::uint64_t> KeptLineages(const JobSurvey& survey, std::size_t keep_lineages);
 
-// A stale coordinated cut as one evictable unit: the cut's COORD/dense
-// objects plus the sub-checkpoints reachable ONLY through this cut. Ids a
-// NEWER cut (or the live one) also reaches are attributed to that newer cut,
-// so deleting units oldest-first can never tear a cut that remains.
-struct StaleCutUnit {
-  std::uint64_t epoch = 0;
-  std::vector<std::uint64_t> ids;  // exclusively-reachable sub-checkpoints, ascending
-  std::uint64_t bytes = 0;         // those ids + the cut's COORD/dense objects
+// ------------------------------------------------------------ retention -----
+
+// One unit the retention rule may delete: a coordinated cut beyond
+// retention (its COORD/dense objects plus the sub-checkpoints reachable ONLY
+// through it — ids a newer or kept cut also reaches are attributed to that
+// cut, so deleting units in order never tears a cut that remains), or one
+// checkpoint on no kept lineage.
+struct LineageUnit {
+  bool is_cut = false;
+  std::uint64_t epoch = 0;               // the cut's epoch (is_cut)
+  std::vector<std::uint64_t> ids;        // manifested checkpoints, ascending
+  std::vector<std::uint64_t> dlog_ids;   // the ids whose delta log the survey saw
+  std::uint64_t bytes = 0;               // ids (with their logs) + cut objects
 };
 
-// Units for every cut older than the newest, oldest first — the order quota
-// eviction consumes them in. Empty for unsharded jobs.
-std::vector<StaleCutUnit> StaleCutUnits(const JobSurvey& survey);
+struct RetentionPlan {
+  // Non-empty: the job's newest lineage (the newest checkpoint's chain, or
+  // every shard chain of the newest cut) does not reach a full checkpoint,
+  // so nothing may be deleted — the older lineages may be the only
+  // restorable state left. Says which manifest is missing or unreadable.
+  std::string refused;
+  // What recovery no longer needs, in deletion order: cuts oldest first,
+  // then single checkpoints ascending.
+  std::vector<LineageUnit> units;
+};
+
+// The one retention rule. Keeps KeptLineages(survey, keep_lineages), plus
+// the chains of `pinned` ids — sub-checkpoints of a cut in flight whose
+// COORD the survey cannot see yet (MaintenanceManager::Pin) — and never
+// splits a cut. Pure: reads only the survey.
+RetentionPlan PlanRetention(const JobSurvey& survey, std::size_t keep_lineages,
+                            const std::set<std::uint64_t>& pinned = {});
 
 // ------------------------------------------------------------ gc ------------
 
@@ -182,6 +203,9 @@ struct GcJobReport {
   std::uint64_t bytes_freed = 0;       // evicted checkpoints + cut objects
   std::size_t orphans_removed = 0;
   std::uint64_t orphan_bytes = 0;
+  // RetentionPlan::refused: the job's newest lineage is broken, so this GC
+  // deleted nothing (orphans included) for the job.
+  std::string refused;
 };
 
 struct GcReport {
@@ -194,26 +218,30 @@ struct GcReport {
     for (const auto& j : jobs) n += j.evicted.size();
     return n;
   }
+  // Appends one job's report if it deleted (or refused) anything.
+  void Add(GcJobReport job);
 };
 
-// Per-job retention override for GcStore; return the lineages to keep for
-// the job (the kernel takes max(resolver(job), options.keep_lineages)).
-using KeepResolver = std::function<std::size_t(const std::string& job)>;
+// The per-job GC kernel: surveys `job`, plans retention with
+// options.keep_lineages and `pinned`, and deletes (or, dry-run, reports)
+// every unit of the plan. Deletes go through `store`, so running it over an
+// accounting view keeps occupancy truthful. A unit's publication object
+// (COORD, MANIFEST) is deleted before the objects it references, and an
+// evicted checkpoint's delta log (jobs/<job>/dlog/<id>/) goes with it — the
+// log is useless without its base, and `bytes_freed` already counts it.
+// Never throws on a refusal: it reports it (GcJobReport::refused).
+GcJobReport GcJob(storage::ObjectStore& store, const std::string& job,
+                  const GcOptions& options = {}, const std::set<std::uint64_t>& pinned = {});
 
-// Deletes (or, dry-run, reports) every checkpoint of every job that is not
-// on one of the kept lineages — the store-wide, report-producing sibling of
-// core::GarbageCollectJob. Deletes go through `store`, so running it over an
-// accounting view keeps occupancy truthful. An evicted checkpoint's
-// delta-log segments (jobs/<job>/dlog/<id>/) are deleted with it — the log
-// is useless without its base, and `bytes_freed` already counts it.
-GcReport GcStore(storage::ObjectStore& store, const GcOptions& options = {},
-                 const KeepResolver& keep = {});
+// GcJob over every job in the store — offline GC (`cnr_inspect <dir> gc`).
+GcReport GcStore(storage::ObjectStore& store, const GcOptions& options = {});
 
 // ------------------------------------------------------- the manager --------
 
 struct MaintenanceConfig {
   // Evict stale lineages (lowest priority first) and retry when a checkpoint
-  // write trips the shared quota, instead of failing the checkpoint.
+  // write trips the shared quota, instead of failing the checkpoint
+  // (WithQuotaEviction).
   bool evict_on_quota = true;
   // Simulated clock driving per-job scrub schedules; nullptr disables
   // background scrubbing entirely. The clock must outlive the manager.
@@ -279,18 +307,28 @@ class MaintenanceManager {
                    std::size_t keep_lineages, util::SimTime scrub_interval);
   void UnregisterJob(const std::string& job);
 
-  // Quota-pressure eviction: deletes stale (off-live-chain) checkpoints in
-  // (priority, job, oldest-id) order until at least `needed_bytes` of
-  // tracked occupancy is freed or no candidate remains. Never touches a live
-  // chain or an unpublished (in-flight) checkpoint's objects. Returns the
-  // bytes freed — 0 means nothing evictable is left and the caller's
-  // QuotaExceeded is final.
+  // Quota-pressure eviction: deletes the units PlanRetention offers with a
+  // retention of one lineage, in (priority, job, plan) order — stale cuts
+  // oldest first, then stale checkpoints oldest first — until at least
+  // `needed_bytes` of tracked occupancy is freed or no candidate remains.
+  // Never touches a job's newest lineage, a pinned or unpublished
+  // (in-flight) checkpoint, or any job whose plan refused. Returns the bytes
+  // freed — 0 means nothing evictable is left.
   //
   // The candidate survey (one List + manifest walk per store job) is cached
   // between calls and consumed in place as candidates are evicted, so a
   // burst of quota trips costs one survey, not one per trip — it sits on a
   // store worker's critical path. NoteStoreMutation invalidates the cache.
   std::uint64_t EvictForQuota(std::uint64_t needed_bytes, const std::string& requesting_job);
+
+  // The one quota-retry loop: runs `write`; on storage::QuotaExceeded evicts
+  // (EvictForQuota(needed_bytes, job)) and retries while eviction frees
+  // bytes. When eviction frees nothing, one final attempt tells "store
+  // genuinely full" from "a concurrent trip already evicted for us"; its
+  // QuotaExceeded stands. With config().evict_on_quota off, the first
+  // QuotaExceeded stands. `write` must be safe to re-run.
+  void WithQuotaEviction(const std::string& job, std::uint64_t needed_bytes,
+                         const std::function<void()>& write);
 
   // Tells the maintenance plane the manifested state of the store changed
   // (a manifest published, GC ran) and the cached eviction survey is stale.
@@ -299,10 +337,25 @@ class MaintenanceManager {
   // (an atomic bump), safe from any thread.
   void NoteStoreMutation();
 
-  // Explicit GC with dry-run reporting. Retention is the max of
-  // options.keep_lineages and each registered job's keep_lineages, so a
-  // store-wide sweep cannot violate a job's configured retention. Refuses to
-  // remove orphans (options.remove_orphans is ignored): in-flight
+  // Protects checkpoints whose unit the survey cannot see yet: a sharded
+  // job's sub-checkpoints before the COORD that ties them into a cut lands.
+  // Pinned ids, and the chains of those already published, are kept by
+  // every GC and never offered to quota eviction. Unpin drops all of the
+  // job's pins — once a COORD landed, KeptLineages protects the same ids.
+  void Pin(const std::string& job, const std::vector<std::uint64_t>& ids);
+  void Unpin(const std::string& job);
+
+  // The GC after a commit — a plain job's post-commit hook, a committed
+  // cut: GcJob over `job` only, with its registered retention and pins.
+  // Throws std::runtime_error, having deleted nothing, when the plan
+  // refuses (the job's newest lineage does not reach a full checkpoint).
+  GcJobReport GcAfterCommit(const std::string& job);
+
+  // Explicit GC with dry-run reporting: GcJob over every store job.
+  // Retention is the max of options.keep_lineages and each registered job's
+  // keep_lineages, so a store-wide sweep cannot violate a job's configured
+  // retention; pins are honored. Refused jobs are reported, not thrown.
+  // Refuses to remove orphans (options.remove_orphans is ignored): in-flight
   // checkpoints are indistinguishable from orphans on a live store.
   GcReport Gc(const GcOptions& options = {});
 

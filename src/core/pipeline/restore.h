@@ -1,4 +1,5 @@
-// Staged restore pipeline — the read-direction mirror of pipeline.h.
+// Staged restore pipeline — the read-direction mirror of the service's write
+// stages (core/service.h).
 //
 // Recovery replays a baseline plus a chain of incrementals, and its wall time
 // is on the critical path of resuming training (paper §5.1). The monolithic

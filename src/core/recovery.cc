@@ -1,7 +1,6 @@
 #include "core/recovery.h"
 
 #include <chrono>
-#include <set>
 #include <stdexcept>
 
 #include "core/pipeline/chunk_codec.h"
@@ -110,41 +109,6 @@ std::vector<std::uint64_t> ResolveChain(storage::ObjectStore& store, const std::
     chain.push_back(manifest.checkpoint_id);
   }
   return chain;
-}
-
-void GarbageCollectJob(storage::ObjectStore& store, const std::string& job,
-                       std::size_t keep_lineages) {
-  if (keep_lineages == 0) keep_lineages = 1;  // the newest lineage is sacred
-  const auto keys = store.List(storage::Manifest::JobPrefix(job) + "ckpt/");
-  std::set<std::uint64_t> all_ids;
-  for (const auto& key : keys) {
-    if (key.size() < 8 || key.substr(key.size() - 8) != "MANIFEST") continue;
-    const auto tail = key.substr(0, key.size() - 9);
-    all_ids.insert(std::stoull(tail.substr(tail.find_last_of('/') + 1)));
-  }
-  if (all_ids.empty()) return;
-
-  // Retain the chains of the `keep_lineages` newest checkpoints.
-  std::set<std::uint64_t> keep;
-  std::size_t kept = 0;
-  for (auto it = all_ids.rbegin(); it != all_ids.rend() && kept < keep_lineages;
-       ++it, ++kept) {
-    const auto chain = ResolveChain(store, job, *it);
-    keep.insert(chain.begin(), chain.end());
-  }
-
-  for (const auto id : all_ids) {
-    if (keep.contains(id)) continue;
-    for (const auto& key : store.List(storage::Manifest::CheckpointPrefix(job, id))) {
-      store.Delete(key);
-    }
-    // An evicted base checkpoint takes its per-iteration delta log with it
-    // (core/delta_log.h): the log replays on top of the base, so without the
-    // base it is dead weight the quota would otherwise carry forever.
-    for (const auto& key : store.List(storage::Manifest::DeltaLogPrefix(job, id))) {
-      store.Delete(key);
-    }
-  }
 }
 
 RestoreResult ApplyCheckpointDelta(storage::ObjectStore& store, const std::string& job,

@@ -89,14 +89,6 @@ RestoreResult RestoreModelPipelined(storage::ObjectStore& store, const std::stri
                                     std::optional<std::uint64_t> id = std::nullopt,
                                     const pipeline::RestoreConfig& config = {});
 
-// Deletes every checkpoint of `job` that is not on the recovery chain of
-// one of the `keep_lineages` newest checkpoints (the controller's GC step
-// after declaring a checkpoint valid). Keeping more than one lineage serves
-// the paper's "several recent checkpoints for debugging and transfer
-// learning" retention use case (§1 criterion 4).
-void GarbageCollectJob(storage::ObjectStore& store, const std::string& job,
-                       std::size_t keep_lineages = 1);
-
 // Applies only checkpoint `id`'s own rows and dense state to `model`,
 // without resolving its parent chain. This is the online-training path
 // (paper §5.1): a serving replica that has already absorbed checkpoints

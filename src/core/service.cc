@@ -10,7 +10,6 @@
 #include "core/pipeline/chunk_codec.h"
 #include "core/pipeline/commit.h"
 #include "core/pipeline/executor.h"
-#include "core/recovery.h"
 #include "quant/selector.h"
 #include "util/sync.h"
 #include "util/wallclock.h"
@@ -139,7 +138,6 @@ struct ServiceImpl {
       storage::RetryPolicy retry_policy;
       retry_policy.max_attempts = cfg.put_attempts;
       retry_policy.initial_backoff = cfg.retry_backoff;
-      retry_policy.sleep = cfg.retry_sleep;
       store = std::make_shared<storage::RetryingStore>(accounting, retry_policy);
 
     // The write plane's stages on the shared runtime. One pool serves all of
@@ -389,33 +387,6 @@ struct ServiceImpl {
 
   // ------------------------------------------------------------ stages -----
 
-  // Runs a storage write, turning QuotaExceeded into quota-pressure
-  // eviction + retry (paper §7's multi-tenant trade-off: a stale debug
-  // lineage is worth less than a live job's next checkpoint). Only when the
-  // maintenance plane can free nothing more does the quota failure stand.
-  // `needed_bytes` sizes the eviction round; the loop re-tries as long as
-  // eviction makes progress, so an underestimate costs extra rounds, not
-  // correctness.
-  template <typename Fn>
-  auto WithQuotaEviction(const std::string& job, std::uint64_t needed_bytes, Fn&& fn) {
-    for (;;) {
-      try {
-        return fn();
-      } catch (const storage::QuotaExceeded&) {
-        if (!cfg.evict_on_quota) throw;
-        if (maintenance->EvictForQuota(needed_bytes, job) == 0) {
-          // Nothing left to evict — but a CONCURRENT trip may have consumed
-          // the last candidates while freeing exactly the bytes this write
-          // needs (two store workers hitting the quota together: the first
-          // evicts, the second finds the candidate survey spent). One final
-          // attempt distinguishes "store genuinely full" from "another
-          // worker already evicted for us"; its QuotaExceeded stands.
-          return fn();
-        }
-      }
-    }
-  }
-
   void PushCommit(std::shared_ptr<Inflight> ckpt) {
     commit_lane.Push(CommitJob{std::move(ckpt)});
     exec.Submit(commit_stage);
@@ -507,11 +478,13 @@ struct ServiceImpl {
       try {
         const auto t0 = std::chrono::steady_clock::now();
         if (cfg.evict_on_quota && cfg.shared_quota_bytes > 0) {
-          // The payload must survive a quota rejection for the
-          // post-eviction retry, so each attempt donates a copy. With no
-          // quota configured, QuotaExceeded is impossible and the move
-          // path below avoids the copy.
-          WithQuotaEviction(ckpt->req.writer.job, job->bytes.size(), [&] {
+          // Quota pressure evicts stale lineages and retries (paper §7's
+          // multi-tenant trade-off: a stale debug lineage is worth less than
+          // a live job's next checkpoint). The payload must survive a quota
+          // rejection for the retry, so each attempt donates a copy. With no
+          // quota configured, QuotaExceeded is impossible and the move path
+          // below avoids the copy.
+          maintenance->WithQuotaEviction(ckpt->req.writer.job, job->bytes.size(), [&] {
             store->Put(job->info.key, std::vector<std::uint8_t>(job->bytes));
           });
         } else {
@@ -640,10 +613,11 @@ struct ServiceImpl {
 
       // The dense + manifest puts can trip the quota too; re-running
       // CommitCheckpoint after eviction is safe (same keys, same bytes).
-      const auto commit =
-          WithQuotaEviction(ckpt->req.writer.job, ckpt->snap.dense_blob.size() + 1, [&] {
-            return pipeline::CommitCheckpoint(*store, ckpt->req.writer.job, ckpt->manifest,
-                                              ckpt->snap.dense_blob);
+      pipeline::CommitResult commit;
+      maintenance->WithQuotaEviction(
+          ckpt->req.writer.job, ckpt->snap.dense_blob.size() + 1, [&] {
+            commit = pipeline::CommitCheckpoint(*store, ckpt->req.writer.job, ckpt->manifest,
+                                                ckpt->snap.dense_blob);
           });
 
       // The inflight record is done with the manifest once committed; moving
@@ -827,8 +801,8 @@ SubmittedCheckpoint JobHandle::Submit(IntervalSubmission submission) {
   req.reader_state = std::move(submission.reader_state);
   req.snapshot_fn = std::move(submission.snapshot_fn);
   if (job.cfg.gc) {
-    req.post_commit = [impl = impl_, name = job.cfg.name, keep = job.cfg.keep_checkpoints] {
-      GarbageCollectJob(*impl->store, name, keep);
+    req.post_commit = [impl = impl_, name = job.cfg.name] {
+      impl->maintenance->GcAfterCommit(name);
     };
   }
 

@@ -67,7 +67,7 @@
 // order. A failed member releases when the commit stage retires it. Set it
 // to false for the strict mode where the slot is held until the manifest is
 // published — the paper's §4.3 non-overlap when max_inflight_checkpoints is
-// 1 (what the CheckpointPipeline facade uses).
+// 1.
 #pragma once
 
 #include <chrono>
@@ -108,8 +108,8 @@ struct JobState;
 // One checkpoint write, fully described: what to store (plan + snapshot),
 // how to encode it (writer config), and the hooks around publication. The
 // unit of work the service's stages operate on; JobHandle::Submit builds one
-// from its policy state, and power users (the CheckpointPipeline facade,
-// tests) hand one straight to JobHandle::SubmitRaw.
+// from its policy state, and power users (tests, custom writers) hand one
+// straight to JobHandle::SubmitRaw.
 struct CheckpointRequest {
   std::uint64_t checkpoint_id = 0;
   // job / chunk_rows / quant / rng_seed are honored; put_attempts is NOT —
@@ -170,9 +170,6 @@ struct ServiceConfig {
   // Attempts per Put before a checkpoint is abandoned (RetryingStore depth).
   int put_attempts = 3;
   std::chrono::microseconds retry_backoff{0};
-  // Optional sleep hook for the retry backoff (util::SimSleeper for
-  // simulated time); default sleeps on the wall clock.
-  std::function<void(std::chrono::microseconds)> retry_sleep;
   // Shared storage quota across all jobs, enforced by the accounting view
   // (storage::QuotaExceeded fails the offending checkpoint unless
   // evict_on_quota frees space first). 0 = unlimited.
@@ -237,8 +234,11 @@ struct JobConfig {
   std::uint64_t rng_seed = 7;  // k-means init stream
 
   // Delete checkpoints not on the newest `keep_checkpoints` recovery chains
-  // after each commit (runs on the commit thread, through the service's
-  // retrying store).
+  // after each commit (MaintenanceManager::GcAfterCommit, on the commit
+  // thread, through the service's retrying store). GC touches only this job;
+  // if the job's newest lineage does not reach a full checkpoint it deletes
+  // nothing, the commit's future carries the error, and the policy
+  // re-baselines.
   bool gc = true;
   std::size_t keep_checkpoints = 1;
 
@@ -466,7 +466,7 @@ class CheckpointService {
 
   // Explicit GC with dry-run reporting, over this service's storage view —
   // deletes are seen by the accounting layer, so occupancy stays truthful.
-  // Retention honors each open job's keep_checkpoints.
+  // Retention honors each open job's keep_checkpoints (MaintenanceManager::Gc).
   GcReport Gc(const GcOptions& options = {});
 
   const ServiceConfig& config() const;

@@ -39,22 +39,6 @@ struct CutState {
 
 namespace {
 
-// Put with the same quota-eviction retry loop the service's commit stage
-// uses: a QuotaExceeded evicts stale lineages (lowest priority first) and
-// retries; only when nothing evictable remains does the error reach the cut.
-void PutWithQuotaEviction(CheckpointService& service, const std::string& job,
-                          const std::string& key, const std::vector<std::uint8_t>& bytes) {
-  for (;;) {
-    try {
-      service.store().Put(key, bytes);  // copy: the loop may retry
-      return;
-    } catch (const storage::QuotaExceeded&) {
-      if (!service.config().evict_on_quota) throw;
-      if (service.maintenance().EvictForQuota(bytes.size() + 1, job) == 0) throw;
-    }
-  }
-}
-
 std::uint64_t ParseTrailingId(const std::string& key, std::size_t strip) {
   const auto tail = key.substr(0, key.size() - strip);
   return std::stoull(tail.substr(tail.find_last_of('/') + 1));
@@ -121,19 +105,37 @@ CutResult CutTicket::Wait() {
   m.dense_key = storage::Manifest::CutDenseKey(st.job, st.epoch);
   m.dense_bytes = st.dense_blob.size();
 
-  PutWithQuotaEviction(*st.service, st.job, m.dense_key, st.dense_blob);
+  // Both Puts take the service's quota-eviction retry loop (the copy in each
+  // attempt keeps the payload for the retry).
+  MaintenanceManager& maintenance = st.service->maintenance();
+  const auto put = [&](const std::string& key, const std::vector<std::uint8_t>& bytes) {
+    maintenance.WithQuotaEviction(st.job, bytes.size() + 1,
+                                  [&] { st.service->store().Put(key, bytes); });
+  };
+  put(m.dense_key, st.dense_blob);
   const auto manifest_bytes = m.Encode();
-  PutWithQuotaEviction(*st.service, st.job,
-                       storage::Manifest::CutKey(st.job, st.epoch), manifest_bytes);
-  st.service->maintenance().NoteStoreMutation();
+  put(storage::Manifest::CutKey(st.job, st.epoch), manifest_bytes);
+  // The COORD landed: the survey sees the cut now and protects its shards'
+  // chains and every newer id itself, so the job's pins can go (this also
+  // tells the maintenance plane the store changed).
+  maintenance.Unpin(st.job);
   out.bytes_written += st.dense_blob.size() + manifest_bytes.size();
   out.committed = true;
 
   if (st.gc) {
-    // Cut-aware GC: retention (keep_cuts) was registered with the
-    // maintenance plane at OpenJob time; older cuts are deleted as whole
-    // units (COORD + dense + exclusively-reachable sub-checkpoints).
-    st.service->maintenance().Gc();
+    // Cut-aware GC of this job only: retention (keep_cuts) was registered
+    // with the maintenance plane at OpenJob time; older cuts are deleted as
+    // whole units (COORD + dense + exclusively-reachable sub-checkpoints).
+    // If the newest cut's lineage is broken the GC deletes nothing and
+    // throws; every shard re-baselines (mirrors JobHandle::Submit).
+    try {
+      maintenance.GcAfterCommit(st.job);
+    } catch (...) {
+      for (auto& policy : *st.policies) {
+        if (policy) policy->OnCheckpointFailed();
+      }
+      throw;
+    }
   }
   return out;
 }
@@ -153,9 +155,8 @@ ShardedJobHandle::ShardedJobHandle(CheckpointService& service, dlrm::DlrmModel& 
   jc.weight = cfg_.weight;
   jc.priority = cfg_.priority;
   jc.keep_checkpoints = cfg_.keep_cuts;
-  // The raw path: no whole-job policy, no per-commit GC (per-shard chains
-  // would look like stale lineages to the unsharded GC — the cut-aware GC
-  // runs after each committed cut instead).
+  // The raw path: no whole-job policy, and GC runs once per committed cut
+  // (CutTicket::Wait), not once per sub-checkpoint.
   jc.gc = false;
   jc.quantize = cfg_.quantize;
   jc.dynamic_bitwidth = false;
@@ -195,7 +196,10 @@ ShardedJobHandle::ShardedJobHandle(CheckpointService& service, dlrm::DlrmModel& 
   }
 }
 
-ShardedJobHandle::~ShardedJobHandle() = default;
+ShardedJobHandle::~ShardedJobHandle() {
+  job_.reset();  // drains the job's in-flight sub-checkpoints
+  service_.maintenance().Unpin(cfg_.name);
+}
 
 CutTicket ShardedJobHandle::SubmitCut(std::uint64_t batches_trained,
                                       std::uint64_t samples_trained,
@@ -257,6 +261,12 @@ CutTicket ShardedJobHandle::SubmitCut(std::uint64_t batches_trained,
       members.push_back(std::move(member));
       state->subs.push_back({static_cast<std::uint32_t>(s), id, {}});
     }
+    // Until a COORD ties them into a cut, the survey sees these ids as a
+    // plain job's stale lineages; pinned, no GC or quota eviction takes
+    // them (or, later, the torn-cut leftovers the next cut chains over).
+    std::vector<std::uint64_t> ids;
+    for (const auto& sub : state->subs) ids.push_back(sub.checkpoint_id);
+    service_.maintenance().Pin(cfg_.name, ids);
     return members;
   };
 

@@ -76,8 +76,12 @@ struct ShardedJobConfig {
   std::uint32_t weight = 1;
 
   // Maintenance: eviction priority and how many coordinated cuts to retain.
-  // After each committed cut the handle runs the service's cut-aware GC,
-  // which deletes older cuts as whole lineage units (never half a cut).
+  // After each committed cut the handle runs the cut-aware GC of this job
+  // only (MaintenanceManager::GcAfterCommit), which deletes older cuts as
+  // whole lineage units (never half a cut). Sub-checkpoints stay pinned
+  // with the maintenance plane until a COORD lands, so before the job's
+  // first cut no GC or quota eviction mistakes them (or a torn cut's
+  // leftovers the next cut chains over) for a plain job's stale lineages.
   std::uint32_t priority = 1;
   bool gc = true;
   std::size_t keep_cuts = 1;
@@ -102,7 +106,10 @@ struct CutState;
 // Outstanding coordinated cut: the per-shard sub-checkpoints are in flight in
 // the service. Wait() blocks for all of them and, iff every one committed,
 // publishes the cut manifest (manifest-last; quota eviction retried like any
-// service commit). Move-only; Wait() at most once.
+// service commit), then runs the job's GC. A GC failure — including a
+// refusal because the newest cut's lineage does not reach full checkpoints —
+// re-baselines every shard and is thrown from Wait() although the cut is
+// published. Move-only; Wait() at most once.
 class CutTicket {
  public:
   CutTicket(CutTicket&&) noexcept;

@@ -11,7 +11,7 @@
 //
 // Training-coupled callers (benches, the CheckFreq baseline, recovery tests)
 // use this facade; the decoupled training path goes through
-// core/pipeline/pipeline.h, which runs the same kernels as explicit
+// core/service.h, which runs the same kernels as explicit
 // Snapshot → Plan → Encode → Store → Commit stages with bounded queues.
 #pragma once
 

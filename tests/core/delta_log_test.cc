@@ -128,9 +128,10 @@ void ExpectModelsEqual(const dlrm::DlrmModel& a, const dlrm::DlrmModel& b) {
   }
 }
 
-// Store decorator counting Gets — the probe for "did the incremental scrub
-// actually skip the fetch" (object_store.h has no stat call, so every
-// verified byte costs a Get unless a cached verdict settles it).
+// Store decorator counting and recording Gets — the probe for "did the
+// incremental scrub actually skip the fetch" (every verified byte costs a
+// Get unless a cached verdict settles it) and for "did maintenance download
+// an object just to size it" (SizeOf is a stat, forwarded uncounted).
 class GetCountingStore : public storage::ObjectStore {
  public:
   explicit GetCountingStore(std::shared_ptr<storage::ObjectStore> inner)
@@ -141,6 +142,10 @@ class GetCountingStore : public storage::ObjectStore {
   }
   std::optional<std::vector<std::uint8_t>> Get(const std::string& key) override {
     gets_.fetch_add(1, std::memory_order_relaxed);
+    {
+      util::MutexLock lock(mu_);
+      got_.push_back(key);
+    }
     return inner_->Get(key);
   }
   bool Exists(const std::string& key) override { return inner_->Exists(key); }
@@ -150,12 +155,22 @@ class GetCountingStore : public storage::ObjectStore {
   }
   std::uint64_t TotalBytes() override { return inner_->TotalBytes(); }
   storage::StoreStats Stats() override { return inner_->Stats(); }
+  std::optional<std::uint64_t> SizeOf(const std::string& key) override {
+    return inner_->SizeOf(key);
+  }
 
   std::uint64_t gets() const { return gets_.load(std::memory_order_relaxed); }
+  // Keys fetched since the last call.
+  std::vector<std::string> TakeGot() {
+    util::MutexLock lock(mu_);
+    return std::exchange(got_, {});
+  }
 
  private:
   std::shared_ptr<storage::ObjectStore> inner_;
   std::atomic<std::uint64_t> gets_{0};
+  util::Mutex mu_;
+  std::vector<std::string> got_;
 };
 
 // Trains warmup + `iterations` steps, writing the base checkpoint after the
@@ -685,6 +700,49 @@ TEST(DeltaLog, MaintenanceTreatsBasePlusLogAsOneLineageUnit) {
   ASSERT_EQ(after.orphans.size(), 1u);
   EXPECT_EQ(after.orphans[0], storage::Manifest::DeltaSegmentKey(kJob, 99, 1));
   EXPECT_EQ(after.orphan_bytes, 4u);
+}
+
+// Maintenance sizes delta-log segments and orphans with a stat, never a
+// download: SurveyJob, startup reconciliation, and a post-commit GC that
+// evicts a base together with its log issue no Get of a dlog/ key or of an
+// orphan.
+TEST(DeltaLog, MaintenanceNeverDownloadsLogsOrOrphansToSizeThem) {
+  auto recording = std::make_shared<GetCountingStore>(std::make_shared<storage::InMemoryStore>());
+  dlrm::DlrmModel live = StreamTrace(*recording, recording, 4, Quant(quant::Method::kNone));
+  const std::string orphan = storage::Manifest::ChunkKey(kJob, 9, 0, 0, 0);
+  recording->Put(orphan, {1, 2, 3});
+  const auto downloaded_log_or_orphan = [&] {
+    for (const auto& key : recording->TakeGot()) {
+      if (key.starts_with(storage::Manifest::DeltaLogRoot(kJob)) || key == orphan) return key;
+    }
+    return std::string();
+  };
+  recording->TakeGot();
+
+  const JobSurvey survey = SurveyJob(*recording, kJob);
+  EXPECT_GT(survey.dlog_bytes_by_base.at(1), 0u);
+  EXPECT_EQ(survey.orphans, std::vector<std::string>{orphan});
+  EXPECT_EQ(survey.orphan_bytes, 3u);
+  EXPECT_EQ(downloaded_log_or_orphan(), "");
+
+  CheckpointService service(recording);  // reconciles on start
+  EXPECT_EQ(service.stats().jobs.at(kJob).store_bytes, survey.total_bytes());
+  EXPECT_EQ(downloaded_log_or_orphan(), "");
+
+  // A new full strands base 1 and its log; the post-commit GC deletes both.
+  JobConfig cfg;
+  cfg.name = kJob;
+  cfg.model = &live;
+  cfg.quantize = false;
+  auto handle = service.OpenJob(cfg);
+  handle->SetNextCheckpointId(2);
+  IntervalSubmission sub;
+  sub.interval_dirty = handle->tracker().HarvestInterval();
+  sub.snapshot_fn = [&live] { return CreateSnapshot(live, 9, 288, nullptr); };
+  handle->Submit(std::move(sub)).future.get();
+  EXPECT_FALSE(recording->Exists(storage::Manifest::ManifestKey(kJob, 1)));
+  EXPECT_TRUE(recording->List(storage::Manifest::DeltaLogPrefix(kJob, 1)).empty());
+  EXPECT_EQ(downloaded_log_or_orphan(), "");
 }
 
 // Scheduled compaction rides the SimClock subscriber machinery (the same

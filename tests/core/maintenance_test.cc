@@ -10,9 +10,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/service.h"
@@ -83,7 +86,8 @@ ServiceConfig SmallService() {
 
 // Store decorator counting List calls: the probe for "how many times did
 // maintenance re-survey the tier" (the eviction survey sits on a store
-// worker's critical path and must be cached between quota trips).
+// worker's critical path and must be cached between quota trips) — and
+// recording their prefixes, the probe for "whose keys did a GC look at".
 class ListCountingStore : public storage::ObjectStore {
  public:
   explicit ListCountingStore(std::shared_ptr<storage::ObjectStore> inner)
@@ -99,16 +103,66 @@ class ListCountingStore : public storage::ObjectStore {
   bool Delete(const std::string& key) override { return inner_->Delete(key); }
   std::vector<std::string> List(const std::string& prefix) override {
     list_calls_.fetch_add(1, std::memory_order_relaxed);
+    {
+      std::lock_guard lock(mu_);
+      prefixes_.push_back(prefix);
+    }
     return inner_->List(prefix);
   }
   std::uint64_t TotalBytes() override { return inner_->TotalBytes(); }
   storage::StoreStats Stats() override { return inner_->Stats(); }
+  std::optional<std::uint64_t> SizeOf(const std::string& key) override {
+    return inner_->SizeOf(key);
+  }
 
   std::uint64_t list_calls() const { return list_calls_.load(std::memory_order_relaxed); }
+  // Prefixes Listed since the last call.
+  std::vector<std::string> TakeListed() {
+    std::lock_guard lock(mu_);
+    return std::exchange(prefixes_, {});
+  }
 
  private:
   std::shared_ptr<storage::ObjectStore> inner_;
   std::atomic<std::uint64_t> list_calls_{0};
+  std::mutex mu_;
+  std::vector<std::string> prefixes_;
+};
+
+// Store decorator that rejects the first Put of `key` with
+// storage::QuotaExceeded, exactly once — a single quota trip at a chosen
+// point of the write path, with no real quota behind it.
+class QuotaTripStore : public storage::ObjectStore {
+ public:
+  QuotaTripStore(std::shared_ptr<storage::ObjectStore> inner, std::string key)
+      : inner_(std::move(inner)), key_(std::move(key)) {}
+
+  void Put(const std::string& key, std::vector<std::uint8_t> data) override {
+    if (key == key_ && !tripped_.exchange(true)) {
+      throw storage::QuotaExceeded("injected quota trip on " + key);
+    }
+    inner_->Put(key, std::move(data));
+  }
+  std::optional<std::vector<std::uint8_t>> Get(const std::string& key) override {
+    return inner_->Get(key);
+  }
+  bool Exists(const std::string& key) override { return inner_->Exists(key); }
+  bool Delete(const std::string& key) override { return inner_->Delete(key); }
+  std::vector<std::string> List(const std::string& prefix) override {
+    return inner_->List(prefix);
+  }
+  std::uint64_t TotalBytes() override { return inner_->TotalBytes(); }
+  storage::StoreStats Stats() override { return inner_->Stats(); }
+  std::optional<std::uint64_t> SizeOf(const std::string& key) override {
+    return inner_->SizeOf(key);
+  }
+
+  bool tripped() const { return tripped_.load(); }
+
+ private:
+  std::shared_ptr<storage::ObjectStore> inner_;
+  std::string key_;
+  std::atomic<bool> tripped_{false};
 };
 
 // Writes `fulls` full checkpoints for `job` (each starting a lineage; with
@@ -580,7 +634,7 @@ TEST(Maintenance, GcAndQuotaEvictionTreatCutsAsUnits) {
   {
     const JobSurvey before = SurveyJob(*store, "cuts");
     ASSERT_EQ(before.cuts.size(), 3u);
-    const auto units = StaleCutUnits(before);
+    const auto units = PlanRetention(before, /*keep_lineages=*/1).units;
     ASSERT_EQ(units.size(), 2u);
     EXPECT_EQ(units[0].epoch, 1u);  // oldest first
     EXPECT_EQ(units[1].epoch, 2u);
@@ -626,6 +680,177 @@ TEST(Maintenance, GcAndQuotaEvictionTreatCutsAsUnits) {
   dlrm::DlrmModel restored2(ShardedModelConfig());
   (void)RestoreShardedModel(*store2, "q", restored2);
   EXPECT_TRUE(restored2.StateEquals(live2));
+}
+
+// ------------------------------------------------- one retention rule -------
+
+CheckpointRequest IncrementalRequest(const std::string& job, std::uint64_t id,
+                                     std::uint64_t parent) {
+  CheckpointRequest req = MakeRequest(job, id);
+  req.plan.kind = storage::CheckpointKind::kIncremental;
+  req.plan.parent_id = parent;
+  req.plan.rows.resize(1);
+  req.plan.rows[0].emplace_back(64);
+  req.plan.rows[0].emplace_back(64);
+  req.plan.rows[0][0].Set(3);
+  return req;
+}
+
+// Fulls 1 <- 2 and 3 <- 4 of `job`, then manifest 3 overwritten with
+// garbage: the newest lineage (4 -> 3) is unrestorable, and 1 <- 2 is the
+// only restorable state the job has left.
+void WriteRottedLineage(CheckpointService& service, const std::string& job) {
+  auto handle = service.OpenJob(RawJob(job));
+  handle->SubmitRaw(MakeRequest(job, 1)).get();
+  handle->SubmitRaw(IncrementalRequest(job, 2, 1)).get();
+  handle->SubmitRaw(MakeRequest(job, 3)).get();
+  handle->SubmitRaw(IncrementalRequest(job, 4, 3)).get();
+  handle->Drain();
+  service.store().Put(storage::Manifest::ManifestKey(job, 3), {0xde, 0xad, 0xbe, 0xef});
+}
+
+void ExpectRestorable(storage::ObjectStore& store, const std::string& job, std::uint64_t id,
+                      const std::vector<std::uint64_t>& chain) {
+  const auto scrub = pipeline::ScrubChainParallel(store, job, id);
+  EXPECT_TRUE(scrub.clean()) << job << "/" << id << ": " << scrub.issues.size() << " issue(s)";
+  EXPECT_EQ(scrub.chain, chain);
+}
+
+// When a job's newest lineage does not reach a full checkpoint, no deleter
+// may touch its older lineages: they may be all recovery has. Gc() reports
+// the refusal, quota eviction takes nothing, and the post-commit path
+// publishes the checkpoint, fails its future, and re-baselines the policy.
+TEST(Maintenance, GcNeverDeletesTheLastRestorableLineage) {
+  {
+    auto store = std::make_shared<storage::InMemoryStore>();
+    CheckpointService service(store, SmallService());
+    WriteRottedLineage(service, "rot");
+    const GcReport report = service.Gc();
+    ASSERT_EQ(report.jobs.size(), 1u);
+    EXPECT_NE(report.jobs[0].refused.find("checkpoint 3"), std::string::npos)
+        << report.jobs[0].refused;
+    EXPECT_TRUE(report.jobs[0].evicted.empty());
+    EXPECT_EQ(report.bytes_freed, 0u);
+    ExpectRestorable(*store, "rot", 2, {1, 2});
+  }
+  {
+    auto store = std::make_shared<storage::InMemoryStore>();
+    CheckpointService service(store, SmallService());
+    WriteRottedLineage(service, "rot");
+    EXPECT_EQ(service.maintenance().EvictForQuota(std::uint64_t{1} << 40, "test"), 0u);
+    ExpectRestorable(*store, "rot", 2, {1, 2});
+  }
+  {
+    auto store = std::make_shared<storage::InMemoryStore>();
+    CheckpointService service(store, SmallService());
+    JobConfig cfg = RawJob("rot");
+    cfg.policy = PolicyKind::kOneShot;
+    cfg.quantize = false;
+    cfg.chunk_rows = 16;
+    cfg.total_rows = 128;
+    cfg.gc = true;
+    cfg.keep_checkpoints = 3;  // the setup's own GCs keep both lineages
+    auto handle = service.OpenJob(std::move(cfg));
+    const auto submit = [&handle](std::function<ModelSnapshot()> snapshot_fn =
+                                      [] { return MakeSnapshot(); }) {
+      IntervalSubmission sub;
+      sub.snapshot_fn = std::move(snapshot_fn);
+      sub.interval_dirty.resize(1);
+      sub.interval_dirty[0].emplace_back(64);
+      sub.interval_dirty[0].emplace_back(64);
+      sub.interval_dirty[0][0].Set(1);
+      return handle->Submit(std::move(sub));
+    };
+    submit().future.get();  // 1, full
+    submit().future.get();  // 2, incremental over 1
+    // 3 never exists (its snapshot fails), so the policy re-baselines.
+    EXPECT_THROW(submit([]() -> ModelSnapshot { throw std::runtime_error("no snapshot"); }),
+                 std::runtime_error);
+    auto s4 = submit();
+    ASSERT_EQ(s4.kind, storage::CheckpointKind::kFull);
+    s4.future.get();
+    submit().future.get();  // 5, incremental over 4
+    service.store().Put(storage::Manifest::ManifestKey("rot", 4), {0xde, 0xad});
+
+    auto s6 = submit();  // incremental over the rotted 4
+    ASSERT_EQ(s6.kind, storage::CheckpointKind::kIncremental);
+    EXPECT_THROW(s6.future.get(), std::runtime_error);
+    EXPECT_TRUE(store->Exists(storage::Manifest::ManifestKey("rot", 6)))
+        << "the GC refusal cannot un-publish the checkpoint";
+    ExpectRestorable(*store, "rot", 2, {1, 2});
+    auto s7 = submit();
+    EXPECT_EQ(s7.kind, storage::CheckpointKind::kFull) << "the policy must re-baseline";
+    EXPECT_NO_THROW(s7.future.get());
+  }
+}
+
+// A committed cut GCs its own job only: a neighbour opened with gc = false
+// keeps every lineage, and the cut's GC Lists nothing outside the sharded
+// job's prefix.
+TEST(Maintenance, CutGcLeavesOtherJobsAlone) {
+  auto store =
+      std::make_shared<ListCountingStore>(std::make_shared<storage::InMemoryStore>());
+  CheckpointService service(store, SmallService());
+  PopulateJob(service, "neighbour", /*fulls=*/3);
+
+  dlrm::DlrmModel model(ShardedModelConfig());
+  ShardedJobConfig cfg;
+  cfg.name = "sharded";
+  cfg.quantize = false;
+  cfg.chunk_rows = 16;  // gc = true, keep_cuts = 1
+  ShardedJobHandle handle(service, model, cfg);
+  store->TakeListed();
+  ASSERT_TRUE(handle.WriteCut(2, 64).committed);
+
+  const auto listed = store->TakeListed();
+  EXPECT_FALSE(listed.empty()) << "the cut's GC must survey its own job";
+  for (const auto& prefix : listed) {
+    EXPECT_TRUE(prefix.starts_with(storage::Manifest::JobPrefix("sharded"))) << prefix;
+  }
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    EXPECT_TRUE(store->Exists(storage::Manifest::ManifestKey("neighbour", id))) << id;
+  }
+}
+
+// Until a sharded job's first COORD lands, the survey cannot tell its
+// sub-checkpoints from a plain job's stale lineages. A single quota trip on
+// the first cut's dense Put, with nothing else evictable, must take none of
+// them: the pins hold, eviction frees nothing, and the retry loop's final
+// attempt publishes the cut.
+TEST(Maintenance, QuotaTripOnTheFirstCutEvictsNoneOfItsShards) {
+  auto backing = std::make_shared<storage::InMemoryStore>();
+  auto store =
+      std::make_shared<QuotaTripStore>(backing, storage::Manifest::CutDenseKey("first", 1));
+  CheckpointService service(store, SmallService());
+
+  data::DatasetConfig dcfg;
+  dcfg.seed = 6;
+  dcfg.num_dense = 4;
+  dcfg.tables = {{128, 2, 1.1}, {64, 1, 1.05}};
+  data::SyntheticDataset ds(dcfg);
+  dlrm::DlrmModel live(ShardedModelConfig());
+  for (int b = 0; b < 2; ++b) {
+    live.TrainBatch(ds.GetBatch(b, static_cast<std::uint64_t>(b) * 32, 32));
+  }
+
+  ShardedJobConfig cfg;
+  cfg.name = "first";
+  cfg.quantize = false;
+  cfg.chunk_rows = 16;
+  ShardedJobHandle handle(service, live, cfg);
+  const CutResult cut = handle.WriteCut(2, 64);
+  EXPECT_TRUE(store->tripped());
+  ASSERT_TRUE(cut.committed);
+  ASSERT_EQ(cut.shard_map.size(), 4u);
+  for (const auto& e : cut.shard_map) {
+    EXPECT_TRUE(backing->Exists(storage::Manifest::ManifestKey("first", e.checkpoint_id)))
+        << "sub-checkpoint " << e.checkpoint_id << " of the cut was evicted";
+  }
+  EXPECT_EQ(service.stats().jobs.at("first").evicted_checkpoints, 0u);
+
+  dlrm::DlrmModel restored(ShardedModelConfig());
+  (void)RestoreShardedModel(*backing, "first", restored);
+  EXPECT_TRUE(restored.StateEquals(live));
 }
 
 }  // namespace

@@ -1,5 +1,3 @@
-#include "core/pipeline/pipeline.h"
-
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +11,7 @@
 #include <vector>
 
 #include "core/pipeline/executor.h"
+#include "core/service.h"
 #include "storage/object_store.h"
 
 namespace cnr::core::pipeline {
@@ -161,22 +160,45 @@ class RecordingStore : public storage::ObjectStore {
   std::set<std::uint64_t> slow_ids_;
 };
 
-PipelineConfig SmallPipeline(std::size_t max_inflight = 1) {
-  PipelineConfig cfg;
+// One raw job on a service configured for the paper's strict single-job
+// write path: the admission slot is held until the manifest is published
+// (§4.3 non-overlap at max_inflight 1), the service adds no retry of its own
+// (put_attempts = 1), and GC never runs.
+ServiceConfig StrictService(std::size_t max_inflight) {
+  ServiceConfig cfg;
   cfg.encode_threads = 2;
   cfg.store_threads = 2;
   cfg.queue_capacity = 4;
   cfg.max_inflight_checkpoints = max_inflight;
+  cfg.release_slot_on_stored = false;
+  cfg.put_attempts = 1;
   return cfg;
 }
 
-// ------------------------------------------------------------- pipeline ---
+JobConfig StrictJob(std::size_t max_inflight) {
+  JobConfig job;
+  job.name = "pipe";
+  job.max_inflight_checkpoints = max_inflight;
+  job.gc = false;
+  return job;
+}
 
-TEST(CheckpointPipeline, WritesValidCheckpoint) {
+struct StrictLane {
+  explicit StrictLane(std::shared_ptr<storage::ObjectStore> store, std::size_t max_inflight = 1)
+      : service(std::move(store), StrictService(max_inflight)),
+        job(service.OpenJob(StrictJob(max_inflight))) {}
+
+  CheckpointService service;
+  std::unique_ptr<JobHandle> job;
+};
+
+// ----------------------------------------------------- raw submissions ---
+
+TEST(RawSubmission, WritesValidCheckpoint) {
   auto store = std::make_shared<storage::InMemoryStore>();
-  CheckpointPipeline pipe(store, SmallPipeline());
+  StrictLane lane(store);
 
-  const WriteResult result = pipe.Submit(MakeRequest(1)).get();
+  const WriteResult result = lane.job->SubmitRaw(MakeRequest(1)).get();
 
   ASSERT_EQ(result.manifest.chunks.size(), 8u);  // 2 shards x 64/16 rows
   EXPECT_EQ(result.rows_written, 128u);
@@ -199,10 +221,10 @@ TEST(CheckpointPipeline, WritesValidCheckpoint) {
   EXPECT_EQ(m.timings.snapshot_us, result.timings.snapshot_us);
 }
 
-TEST(CheckpointPipeline, ManifestIsStoredLast) {
+TEST(RawSubmission, ManifestIsStoredLast) {
   auto store = std::make_shared<RecordingStore>();
-  CheckpointPipeline pipe(store, SmallPipeline());
-  pipe.Submit(MakeRequest(1)).get();
+  StrictLane lane(store);
+  lane.job->SubmitRaw(MakeRequest(1)).get();
 
   const auto keys = store->put_keys();
   ASSERT_FALSE(keys.empty());
@@ -210,9 +232,9 @@ TEST(CheckpointPipeline, ManifestIsStoredLast) {
       << "manifest must be the last object stored, got " << keys.back();
 }
 
-TEST(CheckpointPipeline, EmptyIncrementalStillCommits) {
+TEST(RawSubmission, EmptyIncrementalStillCommits) {
   auto store = std::make_shared<storage::InMemoryStore>();
-  CheckpointPipeline pipe(store, SmallPipeline());
+  StrictLane lane(store);
 
   CheckpointRequest req = MakeRequest(2);
   req.plan.kind = storage::CheckpointKind::kIncremental;
@@ -221,32 +243,32 @@ TEST(CheckpointPipeline, EmptyIncrementalStillCommits) {
   req.plan.rows[0].emplace_back(64);  // all-clear dirty sets
   req.plan.rows[0].emplace_back(64);
 
-  const WriteResult result = pipe.Submit(std::move(req)).get();
+  const WriteResult result = lane.job->SubmitRaw(std::move(req)).get();
   EXPECT_EQ(result.manifest.chunks.size(), 0u);
   EXPECT_EQ(result.rows_written, 0u);
   EXPECT_TRUE(store->Exists(storage::Manifest::ManifestKey("pipe", 2)));
 }
 
-TEST(CheckpointPipeline, PostCommitRunsAfterManifestIsValid) {
+TEST(RawSubmission, PostCommitRunsAfterManifestIsValid) {
   auto store = std::make_shared<storage::InMemoryStore>();
-  CheckpointPipeline pipe(store, SmallPipeline());
+  StrictLane lane(store);
   std::atomic<bool> manifest_present_at_hook{false};
   CheckpointRequest req = MakeRequest(1);
   req.post_commit = [&] {
     manifest_present_at_hook.store(
         store->Exists(storage::Manifest::ManifestKey("pipe", 1)));
   };
-  pipe.Submit(std::move(req)).get();
+  lane.job->SubmitRaw(std::move(req)).get();
   EXPECT_TRUE(manifest_present_at_hook.load());
 }
 
-TEST(CheckpointPipeline, StrictModeGroupsCheckpointWrites) {
+TEST(RawSubmission, StrictModeGroupsCheckpointWrites) {
   auto store = std::make_shared<RecordingStore>();
-  CheckpointPipeline pipe(store, SmallPipeline(/*max_inflight=*/1));
-  pipe.Submit(MakeRequest(1));
-  pipe.Submit(MakeRequest(2));
-  pipe.Submit(MakeRequest(3));
-  pipe.WaitIdle();
+  StrictLane lane(store, /*max_inflight=*/1);
+  lane.job->SubmitRaw(MakeRequest(1));
+  lane.job->SubmitRaw(MakeRequest(2));
+  lane.job->SubmitRaw(MakeRequest(3));
+  lane.service.DrainAll();
 
   // §4.3 non-overlap: once checkpoint k+1 writes anything, checkpoint k is
   // done — put order must be nondecreasing in checkpoint id.
@@ -258,12 +280,12 @@ TEST(CheckpointPipeline, StrictModeGroupsCheckpointWrites) {
   }
 }
 
-TEST(CheckpointPipeline, OverlappedCommitsLandInSubmissionOrder) {
+TEST(RawSubmission, OverlappedCommitsLandInSubmissionOrder) {
   auto store = std::make_shared<RecordingStore>();
   store->SlowCheckpoint(1);  // checkpoint 1's puts dawdle; 2 races ahead
-  CheckpointPipeline pipe(store, SmallPipeline(/*max_inflight=*/2));
-  auto f1 = pipe.Submit(MakeRequest(1));
-  auto f2 = pipe.Submit(MakeRequest(2));
+  StrictLane lane(store, /*max_inflight=*/2);
+  auto f1 = lane.job->SubmitRaw(MakeRequest(1));
+  auto f2 = lane.job->SubmitRaw(MakeRequest(2));
   f1.get();
   f2.get();
 
@@ -279,28 +301,28 @@ TEST(CheckpointPipeline, OverlappedCommitsLandInSubmissionOrder) {
   EXPECT_LT(m1, m2) << "commit order must follow submission order";
 }
 
-TEST(CheckpointPipeline, FailedCheckpointIsNeverValidAndSuccessorProceeds) {
+TEST(RawSubmission, FailedCheckpointIsNeverValidAndSuccessorProceeds) {
   auto store = std::make_shared<RecordingStore>();
   store->FailCheckpoint(1);
-  CheckpointPipeline pipe(store, SmallPipeline(/*max_inflight=*/1));
+  StrictLane lane(store, /*max_inflight=*/1);
 
-  auto f1 = pipe.Submit(MakeRequest(1));
+  auto f1 = lane.job->SubmitRaw(MakeRequest(1));
   EXPECT_THROW(f1.get(), storage::StoreUnavailable);
   EXPECT_FALSE(store->Exists(storage::Manifest::ManifestKey("pipe", 1)));
 
   // The failure released the overlap slot; an independent (full) checkpoint
   // still goes through.
-  auto f2 = pipe.Submit(MakeRequest(2));
+  auto f2 = lane.job->SubmitRaw(MakeRequest(2));
   EXPECT_NO_THROW(f2.get());
   EXPECT_TRUE(store->Exists(storage::Manifest::ManifestKey("pipe", 2)));
 }
 
-TEST(CheckpointPipeline, InflightParentFailureFailsDependentIncremental) {
+TEST(RawSubmission, InflightParentFailureFailsDependentIncremental) {
   auto store = std::make_shared<RecordingStore>();
   store->FailCheckpoint(1);
-  CheckpointPipeline pipe(store, SmallPipeline(/*max_inflight=*/2));
+  StrictLane lane(store, /*max_inflight=*/2);
 
-  auto f1 = pipe.Submit(MakeRequest(1));  // full baseline; will fail
+  auto f1 = lane.job->SubmitRaw(MakeRequest(1));  // full baseline; will fail
 
   CheckpointRequest inc = MakeRequest(2);  // incremental over the doomed parent
   inc.plan.kind = storage::CheckpointKind::kIncremental;
@@ -310,7 +332,7 @@ TEST(CheckpointPipeline, InflightParentFailureFailsDependentIncremental) {
   inc.plan.rows[0].emplace_back(64);
   inc.plan.rows[0][0].Set(3);
   inc.plan.rows[0][1].Set(7);
-  auto f2 = pipe.Submit(std::move(inc));
+  auto f2 = lane.job->SubmitRaw(std::move(inc));
 
   EXPECT_THROW(f1.get(), storage::StoreUnavailable);
   EXPECT_THROW(f2.get(), std::runtime_error);  // lineage rule
@@ -318,26 +340,27 @@ TEST(CheckpointPipeline, InflightParentFailureFailsDependentIncremental) {
       << "an incremental whose parent failed in flight must not become valid";
 }
 
-TEST(CheckpointPipeline, SubmitWithoutSnapshotFnThrows) {
-  CheckpointPipeline pipe(std::make_shared<storage::InMemoryStore>(), SmallPipeline());
+TEST(RawSubmission, SubmitWithoutSnapshotFnThrows) {
+  StrictLane lane(std::make_shared<storage::InMemoryStore>());
   CheckpointRequest req;
   req.checkpoint_id = 1;
-  EXPECT_THROW(pipe.Submit(std::move(req)), std::invalid_argument);
+  EXPECT_THROW(lane.job->SubmitRaw(std::move(req)), std::invalid_argument);
 }
 
-TEST(CheckpointPipeline, InvalidConfigRejected) {
+TEST(RawSubmission, InvalidConfigRejected) {
   auto store = std::make_shared<storage::InMemoryStore>();
-  PipelineConfig cfg = SmallPipeline();
-  cfg.max_inflight_checkpoints = 0;
-  EXPECT_THROW(CheckpointPipeline(store, cfg), std::invalid_argument);
-  EXPECT_THROW(CheckpointPipeline(nullptr, SmallPipeline()), std::invalid_argument);
+  EXPECT_THROW(CheckpointService(store, StrictService(/*max_inflight=*/0)),
+               std::invalid_argument);
+  EXPECT_THROW(CheckpointService(nullptr, StrictService(1)), std::invalid_argument);
+  CheckpointService service(store, StrictService(1));
+  EXPECT_THROW(service.OpenJob(StrictJob(/*max_inflight=*/0)), std::invalid_argument);
 }
 
-TEST(CheckpointPipeline, ManyCheckpointsBackToBack) {
+TEST(RawSubmission, ManyCheckpointsBackToBack) {
   auto store = std::make_shared<storage::InMemoryStore>();
-  CheckpointPipeline pipe(store, SmallPipeline(/*max_inflight=*/2));
+  StrictLane lane(store, /*max_inflight=*/2);
   std::vector<std::future<WriteResult>> futures;
-  for (std::uint64_t id = 1; id <= 8; ++id) futures.push_back(pipe.Submit(MakeRequest(id)));
+  for (std::uint64_t id = 1; id <= 8; ++id) futures.push_back(lane.job->SubmitRaw(MakeRequest(id)));
   for (auto& f : futures) EXPECT_NO_THROW(f.get());
   for (std::uint64_t id = 1; id <= 8; ++id) {
     EXPECT_TRUE(store->Exists(storage::Manifest::ManifestKey("pipe", id))) << id;

@@ -58,7 +58,7 @@ JobConfig RawJob(const std::string& name) {
   JobConfig job;
   job.name = name;
   job.max_inflight_checkpoints = 1;
-  job.gc = false;  // raw submissions; the GC test calls GarbageCollectJob itself
+  job.gc = false;  // raw submissions; the GC test calls GcJob itself
   return job;
 }
 
@@ -148,7 +148,7 @@ TEST(TieredServiceTest, ParityHoldsAcrossEvictionAndGc) {
   handle->SubmitRaw(ModelRequest("evict", 2, model)).get();
   // GC through the service's store view: deletes traverse the decorator,
   // cancelling pending drains and tombstoning in-flight replications.
-  GarbageCollectJob(service.store(), "evict", /*keep_lineages=*/1);
+  GcJob(service.store(), "evict");  // keeps one lineage
   service.tiered_store()->FlushDrains();
 
   const auto stats = service.stats();

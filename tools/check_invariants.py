@@ -39,6 +39,13 @@ Rules:
      docs/MANIFEST_FORMAT.md — bumping the wire format without documenting
      it breaks the doc's compatibility contract.
 
+  5. deletes-in-one-place: in src/core/**, a store `Delete(` call appears
+     only in maintenance.cc (GC and quota eviction, through the one
+     retention rule and delete routine) and delta_log.cc (compaction and
+     torn-tail truncation). A second deleter of lineages is how GC copies
+     drifted apart before. Lines declaring an `override` (store decorators)
+     are exempt; comments and strings are stripped first.
+
 Usage: python3 tools/check_invariants.py [repo_root]
 Exit 0 if every invariant holds, 1 otherwise (violations listed on stderr).
 """
@@ -78,6 +85,13 @@ SLEEP_BAN_PREFIX = os.path.join("src", "core") + os.sep
 SLEEP_ALLOWED = {
     os.path.join("src", "storage", "latency_store.cc"),
     os.path.join("src", "storage", "retrying_store.cc"),
+}
+
+# Rule 5: where src/core/ may delete objects.
+DELETE_PATTERN = re.compile(r"\bDelete\s*\(")
+DELETE_ALLOWED = {
+    os.path.join("src", "core", "maintenance.cc"),
+    os.path.join("src", "core", "delta_log.cc"),
 }
 
 LINE_COMMENT = re.compile(r"//.*")
@@ -163,6 +177,22 @@ def check_sleeps(root, failures):
                 )
 
 
+def check_deletes(root, failures):
+    for full, rel in iter_source_files(root):
+        if not rel.startswith(SLEEP_BAN_PREFIX) or rel in DELETE_ALLOWED:
+            continue
+        with open(full, encoding="utf-8") as f:
+            code = strip_comments(f.read())
+        for lineno, line in enumerate(code.splitlines(), 1):
+            if DELETE_PATTERN.search(line) and "override" not in line:
+                failures.append(
+                    f"{rel}:{lineno}: store Delete outside maintenance.cc / "
+                    "delta_log.cc — lineages are deleted only through the "
+                    "maintenance plane's retention rule (core::GcJob, "
+                    "MaintenanceManager::EvictForQuota)"
+                )
+
+
 def check_manifest_version(root, failures):
     manifest = os.path.join(root, "src", "storage", "manifest.h")
     doc = os.path.join(root, "docs", "MANIFEST_FORMAT.md")
@@ -203,6 +233,7 @@ def main() -> int:
     check_sync_primitives(root, failures)
     check_tsa_suppressions(root, failures)
     check_sleeps(root, failures)
+    check_deletes(root, failures)
     check_manifest_version(root, failures)
     if failures:
         print(f"check_invariants: {len(failures)} violation(s):", file=sys.stderr)

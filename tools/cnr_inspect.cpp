@@ -284,8 +284,10 @@ void JobsOverview(storage::ObjectStore& store) {
   }
 }
 
-// gc: store-wide garbage collection through the service's kernel
-// (core::GcStore). Dry-run prints the same report without deleting.
+// gc: store-wide garbage collection through the service's per-job kernel
+// (core::GcStore over core::GcJob). Dry-run prints the same report without
+// deleting. Exits 1 if GC refused any job (its newest lineage does not reach
+// a full checkpoint, so nothing of that job was deleted).
 int GcCommand(storage::ObjectStore& store, const core::GcOptions& options) {
   const auto report = core::GcStore(store, options);
   std::printf("gc%s: keep %zu lineage(s) per job%s\n", report.dry_run ? " (dry run)" : "",
@@ -295,7 +297,13 @@ int GcCommand(storage::ObjectStore& store, const core::GcOptions& options) {
     std::printf("  nothing to collect — every checkpoint is on a kept lineage\n");
     return 0;
   }
+  int status = 0;
   for (const auto& jr : report.jobs) {
+    if (!jr.refused.empty()) {
+      std::printf("  REFUSED %s\n", jr.refused.c_str());
+      status = 1;
+      continue;
+    }
     std::printf("  job %s: %zu stale checkpoint(s)%s, %llu bytes", jr.job.c_str(),
                 jr.evicted.size(), report.dry_run ? " would be evicted" : " evicted",
                 static_cast<unsigned long long>(jr.bytes_freed));
@@ -315,7 +323,7 @@ int GcCommand(storage::ObjectStore& store, const core::GcOptions& options) {
   std::printf("  total: %llu bytes %s\n",
               static_cast<unsigned long long>(report.bytes_freed),
               report.dry_run ? "reclaimable" : "reclaimed");
-  return 0;
+  return status;
 }
 
 // shards: coordinated-cut view of a sharded job (core/sharded_checkpoint.h).
