@@ -28,7 +28,7 @@ double QuantizeLatencySeconds(const core::ModelSnapshot& snap, const quant::Quan
   wcfg.chunk_rows = 1024;
   wcfg.quant = qc;
   const auto result = core::WriteCheckpoint(store, snap, plan, wcfg, 1, {}, nullptr);
-  return static_cast<double>(result.encode_wall.count()) / 1e6;
+  return static_cast<double>(result.timings.encode_us) / 1e6;
 }
 
 }  // namespace

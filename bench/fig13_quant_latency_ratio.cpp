@@ -27,7 +27,7 @@ double QuantizeLatencySeconds(const core::ModelSnapshot& snap, int bins, double 
   wcfg.quant.num_bins = bins;
   wcfg.quant.ratio = ratio;
   const auto result = core::WriteCheckpoint(store, snap, plan, wcfg, 1, {}, nullptr);
-  return static_cast<double>(result.encode_wall.count()) / 1e6;
+  return static_cast<double>(result.timings.encode_us) / 1e6;
 }
 
 }  // namespace

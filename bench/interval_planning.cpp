@@ -10,7 +10,6 @@
 #include "bench_common.h"
 #include "sim/cluster.h"
 #include "sim/failure_trace.h"
-#include "storage/rate_limited_store.h"
 
 using namespace cnr;
 

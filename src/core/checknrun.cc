@@ -113,13 +113,8 @@ void CheckNRun::FinalizeFrontTicket() {
   stats.bytes_written = result.bytes_written;
   stats.rows_written = result.rows_written;
   stats.stall_wall = Us(result.timings.snapshot_us);
-  stats.encode_wall = Us(result.timings.encode_us);
-  stats.plan_wall = Us(result.timings.plan_us);
-  stats.store_wall = Us(result.timings.store_us);
-  stats.commit_wall = Us(result.timings.commit_us);
-  stats.encode_queue_wall = Us(result.timings.encode_queue_us);
-  stats.store_queue_wall = Us(result.timings.store_queue_us);
   stats.write_wall = result.write_wall;
+  stats.timings = result.timings;
   stats.store_bytes = service_->store().TotalBytes();  // occupancy after GC
   completed_.push_back(stats);
 }

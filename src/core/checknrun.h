@@ -112,14 +112,9 @@ struct IntervalStats {
   double mean_loss = 0.0;            // training loss over the interval
   std::chrono::microseconds stall_wall{0};   // trainer stalled (snapshot)
   std::chrono::microseconds train_wall{0};   // trainer busy (the interval)
-  std::chrono::microseconds encode_wall{0};  // background quantization cpu
+  std::chrono::microseconds write_wall{0};   // snapshot -> valid
   // Per-stage pipeline breakdown (background, off the trainer's path).
-  std::chrono::microseconds plan_wall{0};          // chunk planning
-  std::chrono::microseconds store_wall{0};         // summed chunk Put wall
-  std::chrono::microseconds commit_wall{0};        // dense + manifest publication
-  std::chrono::microseconds encode_queue_wall{0};  // chunks waiting for encoders
-  std::chrono::microseconds store_queue_wall{0};   // encoded chunks waiting for link
-  std::chrono::microseconds write_wall{0};         // snapshot -> valid
+  storage::StageTimings timings;
 };
 
 class CheckNRun {

@@ -494,7 +494,6 @@ bool DeltaLog::DrainStore() {
       --inflight_segments_;
       inflight_atomic_.store(inflight_segments_, std::memory_order_release);
     }
-    if (stored && cfg_.on_mutation) cfg_.on_mutation();
   }
   return true;
 }
@@ -706,13 +705,11 @@ std::size_t DeltaLog::CompactOnce(std::size_t min_raw_segments) {
   // and the next compaction both ignore.
   store_->Put(Manifest::DeltaCompactKey(cfg_.job, cfg_.base_checkpoint_id, new_seq),
               w.TakeBytes());
-  if (cfg_.on_mutation) cfg_.on_mutation();
   for (const auto& o : run) store_->Delete(o.key);
   if (cover) store_->Delete(cover->key);
   for (const auto& [seq, key] : raws) {
     if (seq <= cover_seq) store_->Delete(key);  // remnants of an older fold
   }
-  if (cfg_.on_mutation) cfg_.on_mutation();
 
   {
     util::MutexLock lock(mu_);
@@ -896,57 +893,36 @@ std::vector<DeltaSegmentInfo> InspectDeltaLog(storage::ObjectStore& store,
 }
 
 void ScrubDeltaLog(storage::ObjectStore& store, const std::string& job,
-                   std::uint64_t base_checkpoint_id, pipeline::ScrubReport& report,
-                   pipeline::ScrubCache* cache) {
+                   std::uint64_t base_checkpoint_id, pipeline::ScrubReport& report) {
   const std::string prefix = Manifest::DeltaLogPrefix(job, base_checkpoint_id);
   std::map<std::uint64_t, std::string> covers, raws;
   PartitionKeys(store.List(prefix), prefix, covers, raws);
 
-  // Verifies one object (from the cache when possible); true = clean.
+  // Fetches and verifies one object; true = clean.
   const auto check = [&](std::uint64_t seq, const std::string& key,
                          bool compacted) -> bool {
     ++report.delta_segments_checked;
-    if (cache) {
-      if (auto hit = cache->Lookup(key, 0)) {
-        ++report.cache_hits;
-        report.bytes_checked += hit->bytes;
-        report.rows_checked += hit->decoded_rows;
-        report.issues.insert(report.issues.end(), hit->issues.begin(),
-                             hit->issues.end());
-        return hit->issues.empty();
-      }
-    }
     std::optional<std::vector<std::uint8_t>> blob;
     try {
       blob = store.Get(key);
     } catch (const std::exception& e) {
-      // Transient fetch failures are reported but never memoized.
       report.issues.push_back({key, std::string("fetch failed: ") + e.what()});
       return false;
     }
-    pipeline::ScrubCache::Verdict cv;
     if (!blob) {
-      cv.issues.push_back({key, "delta segment missing"});
-    } else {
-      cv.bytes = blob->size();
-      if (blob->size() >= sizeof(std::uint32_t)) {
-        std::memcpy(&cv.crc, blob->data() + blob->size() - sizeof(std::uint32_t),
-                    sizeof(cv.crc));
-      }
-      try {
-        const ParsedSegment seg = ParseSegment(*blob);
-        ValidatePlacement(seg.header, base_checkpoint_id, seq, compacted);
-        cv.decoded_rows = seg.rows;
-      } catch (const util::SerializeError& e) {
-        cv.issues.push_back({key, e.what()});
-      }
+      report.issues.push_back({key, "delta segment missing"});
+      return false;
     }
-    report.bytes_checked += cv.bytes;
-    report.rows_checked += cv.decoded_rows;
-    report.issues.insert(report.issues.end(), cv.issues.begin(), cv.issues.end());
-    const bool clean = cv.issues.empty();
-    if (cache) cache->Store(key, std::move(cv));
-    return clean;
+    report.bytes_checked += blob->size();
+    try {
+      const ParsedSegment seg = ParseSegment(*blob);
+      ValidatePlacement(seg.header, base_checkpoint_id, seq, compacted);
+      report.rows_checked += seg.rows;
+      return true;
+    } catch (const util::SerializeError& e) {
+      report.issues.push_back({key, e.what()});
+      return false;
+    }
   };
 
   std::uint64_t cover_seq = 0;

@@ -56,7 +56,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -100,10 +99,6 @@ struct DeltaLogConfig {
   // Scheduled compaction runs only when at least this many raw segments are
   // foldable (explicit CompactNow folds from one segment up).
   std::size_t compaction_min_segments = 4;
-  // Invoked after every successful store mutation (segment Put, compaction
-  // publish/delete). The service wires MaintenanceManager::NoteStoreMutation
-  // here so survey/scrub caches invalidate.
-  std::function<void()> on_mutation;
 };
 
 struct DeltaLogStats {
@@ -324,13 +319,10 @@ std::vector<DeltaSegmentInfo> InspectDeltaLog(storage::ObjectStore& store,
 // every cover and raw segment is fetched, CRC-verified, fully parsed, and
 // placement-checked, and the raw tail above the newest valid cover must be
 // seq-contiguous (a hole strands the sealed segments behind it — replay
-// cannot reach them). Cache-aware like the chain scrub: memoized verdicts
-// settle without a Get, so a repeat scrub over an unchanged store issues
-// none. Appends to `report` (issues re-canonicalized); the maintenance
-// plane's background scrub and `cnr_inspect` both run this after the chain
+// cannot reach them). Appends to `report` (issues re-canonicalized); the
+// maintenance plane's scrubs and `cnr_inspect` both run this after the chain
 // scrub, treating base + log as one lineage unit.
 void ScrubDeltaLog(storage::ObjectStore& store, const std::string& job,
-                   std::uint64_t base_checkpoint_id, pipeline::ScrubReport& report,
-                   pipeline::ScrubCache* cache = nullptr);
+                   std::uint64_t base_checkpoint_id, pipeline::ScrubReport& report);
 
 }  // namespace cnr::core

@@ -1,7 +1,6 @@
 #include "core/maintenance.h"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
 #include <utility>
 
@@ -437,12 +436,6 @@ struct MaintenanceManager::Impl {
     return it == pins.end() ? std::set<std::uint64_t>{} : it->second;
   }
 
-  // The executor the scrub stage (and each scrub's inner fetch/decode
-  // stages) runs on: the caller's shared one, or the private fallback.
-  pipeline::StageExecutor* Exec() {
-    return cfg.executor != nullptr ? cfg.executor : own_exec.get();
-  }
-
   // Clock-subscriber scheduling: scans for due jobs and enqueues them on the
   // scrub stage. Cheap (no store I/O) — safe to run from a SimClock advance.
   // `queued` dedupes: while a job's scrub is enqueued or running, further
@@ -465,7 +458,7 @@ struct MaintenanceManager::Impl {
     }
     if (due.empty()) return;
     for (auto& name : due) scrub_lane.Push(std::move(name));
-    Exec()->Submit(scrub_stage, due.size());
+    cfg.executor->Submit(scrub_stage, due.size());
   }
 
   bool DrainScrub() EXCLUDES(mu) {
@@ -476,7 +469,7 @@ struct MaintenanceManager::Impl {
       util::MutexLock lock(mu);
       skip = stop;  // shutting down: consume the unit, run nothing
     }
-    if (!skip) ScrubAndRecord(*job, /*full=*/true);
+    if (!skip) ScrubAndRecord(*job);
     {
       util::MutexLock lock(mu);
       jobs[*job].queued = false;
@@ -498,34 +491,18 @@ struct MaintenanceManager::Impl {
   // changing (GC runs post-commit; eviction spares live chains), so a dirty
   // report is re-checked against the latest id and the scrub retried on the
   // new chain instead of paging falsely.
-  pipeline::ScrubReport RunScrub(const std::string& job, bool full) {
+  pipeline::ScrubReport RunScrub(const std::string& job) {
     try {
-      pipeline::ScrubConfig scrub_cfg = cfg.scrub;
-      if (scrub_cfg.executor == nullptr) scrub_cfg.executor = Exec();
-      // Incremental scrub: reuse the job's verdict cache while the store's
-      // manifested state is unchanged, so a steady-state re-scrub issues no
-      // Gets at all. Any mutation since the last scrub (commit, GC —
-      // everything that calls NoteStoreMutation) clears it wholesale. The
-      // epoch is sampled BEFORE the scrub runs, so a mutation landing
-      // mid-scrub invalidates whatever verdicts it raced.
-      //
-      // Scheduled scrubs (`full`) additionally clear the cache themselves:
-      // their whole point is catching *silent* rot, which by definition
-      // bumps no mutation epoch. The schedule fire is the trust boundary —
-      // it re-reads every byte and leaves fresh verdicts behind, so
-      // on-demand scrubs between fires stay zero-Get.
-      pipeline::ScrubCache* cache = ValidatedCache(job);
-      if (full) cache->Clear();
-      scrub_cfg.cache = cache;
+      pipeline::ScrubConfig scrub_cfg;
+      scrub_cfg.executor = cfg.executor;
       pipeline::ScrubReport report;
       for (int attempt = 0; attempt < 3; ++attempt) {
         const auto latest = LatestCheckpointId(*store, job);
         if (!latest) return {};
         report = pipeline::ScrubChainParallel(*store, job, *latest, scrub_cfg);
         // Base + delta log are one lineage unit: the live checkpoint's
-        // per-iteration delta stream is verified in the same run, through
-        // the same cache (unchanged segments cost no fetch either).
-        ScrubDeltaLog(*store, job, *latest, report, cache);
+        // per-iteration delta stream is verified in the same run.
+        ScrubDeltaLog(*store, job, *latest, report);
         if (report.clean()) return report;
         if (LatestCheckpointId(*store, job) == latest) return report;  // genuine
       }
@@ -537,28 +514,8 @@ struct MaintenanceManager::Impl {
     }
   }
 
-  // The job's incremental-scrub cache, cleared if the store's manifested
-  // state moved since it was last validated. The returned pointer stays
-  // valid for the manager's lifetime (entries are heap-held and never
-  // erased); the cache itself is internally synchronized, so concurrent
-  // scrubs of the same job (ScrubJobNow racing the schedule) share it
-  // safely — a concurrent Clear only costs hit rate, never correctness.
-  pipeline::ScrubCache* ValidatedCache(const std::string& job) EXCLUDES(mu) {
-    const std::uint64_t epoch = mutation_epoch.load(std::memory_order_acquire);
-    util::MutexLock lock(mu);
-    auto& entry = scrub_caches[job];
-    if (!entry) entry = std::make_unique<ScrubCacheEntry>();
-    if (!entry->validated || entry->epoch != epoch) {
-      entry->cache.Clear();
-      entry->epoch = epoch;
-      entry->validated = true;
-    }
-    return &entry->cache;
-  }
-
-  pipeline::ScrubReport ScrubAndRecord(const std::string& job, bool full = false)
-      EXCLUDES(mu) {
-    pipeline::ScrubReport report = RunScrub(job, full);
+  pipeline::ScrubReport ScrubAndRecord(const std::string& job) EXCLUDES(mu) {
+    pipeline::ScrubReport report = RunScrub(job);
     if (!report.clean()) {
       CNR_LOG_WARN << "maintenance: scrub of job " << job << " found "
                    << report.issues.size() << " issue(s) — the stored chain is NOT "
@@ -568,7 +525,6 @@ struct MaintenanceManager::Impl {
     auto& stats = jobs[job].stats;  // jobs never registered still keep stats
     ++stats.scrubs_run;
     stats.scrub_issues += report.issues.size();
-    stats.scrub_cache_hits += report.cache_hits;
     stats.last_scrub_at = cfg.clock ? cfg.clock->now() : -1;
     stats.last_scrub_clean = report.clean();
     stats.last_issues = report.issues;
@@ -584,39 +540,11 @@ struct MaintenanceManager::Impl {
   std::map<std::string, JobMeta> jobs GUARDED_BY(mu);
   std::map<std::string, std::set<std::uint64_t>> pins GUARDED_BY(mu);
 
-  // Per-job incremental-scrub verdict caches (ValidatedCache). The map is
-  // guarded by mu; each entry is heap-held so the ScrubCache pointer handed
-  // to a running scrub stays valid outside the lock (the cache is its own
-  // synchronization domain). `epoch` is the mutation_epoch the cache was
-  // last validated against, touched only under mu.
-  struct ScrubCacheEntry {
-    pipeline::ScrubCache cache;
-    std::uint64_t epoch = 0;
-    bool validated = false;
-  };
-  std::map<std::string, std::unique_ptr<ScrubCacheEntry>> scrub_caches GUARDED_BY(mu);
-
   // Serializes evictions. Lock order: evict_mu may be held while acquiring
-  // mu (PriorityOf, the stats update); NEVER acquire evict_mu under mu —
-  // ACQUIRED_BEFORE makes that inversion a compile error under clang.
+  // mu (PriorityOf, PinsOf, the stats update); NEVER acquire evict_mu under
+  // mu — ACQUIRED_BEFORE makes that inversion a compile error under clang.
   util::Mutex evict_mu ACQUIRED_BEFORE(mu);
 
-  // Quota-eviction candidate cache (guarded by evict_mu): every store job's
-  // retention-plan units, in eviction order, consumed in place as evictions
-  // proceed. Valid while its epoch matches mutation_epoch — NoteStoreMutation
-  // bumps the epoch on commit/GC/pin.
-  struct Candidate {
-    std::uint32_t priority = 0;
-    std::string job;
-    LineageUnit unit;
-  };
-  std::atomic<std::uint64_t> mutation_epoch{0};
-  bool survey_cached GUARDED_BY(evict_mu) = false;
-  std::uint64_t survey_epoch GUARDED_BY(evict_mu) = 0;
-  std::vector<Candidate> survey_cache GUARDED_BY(evict_mu);
-
-  // Private stage runtime when no shared executor was configured.
-  std::unique_ptr<pipeline::StageExecutor> own_exec;
   pipeline::StageExecutor::StageId scrub_stage = 0;
   bool scrub_stage_open = false;
   pipeline::StageLane<std::string> scrub_lane;
@@ -633,18 +561,15 @@ MaintenanceManager::MaintenanceManager(std::shared_ptr<storage::AccountingStore>
   }
   if (!impl_->store) throw std::invalid_argument("MaintenanceManager: null store");
   if (impl_->cfg.clock != nullptr) {
-    // Scheduled scrubs run as a stage on the shared runtime (or a private
-    // one when the caller configured none): the clock subscriber scans for
-    // due jobs and enqueues them; up to scrub_workers run concurrently, and
-    // each scrub's inner fetch/decode stages ride the same executor (the
-    // scrub worker helps drain them, so no threads are reserved).
     if (impl_->cfg.executor == nullptr) {
-      impl_->own_exec = std::make_unique<pipeline::StageExecutor>();
+      throw std::invalid_argument("MaintenanceManager: a clock needs an executor");
     }
-    impl_->scrub_stage = impl_->Exec()->OpenStage(
-        pipeline::TunableStage("scrub", 1,
-                               std::max<std::size_t>(impl_->cfg.scrub_workers, 1)),
-        [impl = impl_.get()] { return impl->DrainScrub(); });
+    // Scheduled scrubs run as a stage on the shared runtime: the clock
+    // subscriber scans for due jobs and enqueues them; one job's scrub runs
+    // at a time, and its inner fetch/decode stages ride the same executor
+    // (the scrub worker helps drain them, so no threads are reserved).
+    impl_->scrub_stage = impl_->cfg.executor->OpenStage(
+        pipeline::PinnedStage("scrub"), [impl = impl_.get()] { return impl->DrainScrub(); });
     impl_->scrub_stage_open = true;
     // The subscriber only scans the registry and enqueues stage work — cheap
     // enough for a clock callback, and it never calls back into the clock.
@@ -659,7 +584,7 @@ MaintenanceManager::~MaintenanceManager() {
     util::MutexLock lock(impl_->mu);
     impl_->stop = true;  // queued-but-unstarted scrubs drain without running
   }
-  if (impl_->scrub_stage_open) impl_->Exec()->CloseStage(impl_->scrub_stage);
+  if (impl_->scrub_stage_open) impl_->cfg.executor->CloseStage(impl_->scrub_stage);
 }
 
 std::size_t MaintenanceManager::ReconcileJob(const std::string& job) {
@@ -693,8 +618,6 @@ void MaintenanceManager::RegisterJob(const std::string& job, std::uint32_t prior
         impl_->cfg.clock ? impl_->cfg.clock->now() + scrub_interval : scrub_interval;
     meta.open = true;
   }
-  // A (re)registered priority re-orders the eviction queue.
-  NoteStoreMutation();
 }
 
 void MaintenanceManager::UnregisterJob(const std::string& job) {
@@ -704,10 +627,6 @@ void MaintenanceManager::UnregisterJob(const std::string& job) {
   // Keep the record: the priority still orders eviction of the closed
   // job's residue, and the stats stay queryable.
   it->second.open = false;
-}
-
-void MaintenanceManager::NoteStoreMutation() {
-  impl_->mutation_epoch.fetch_add(1, std::memory_order_release);
 }
 
 std::uint64_t MaintenanceManager::EvictForQuota(std::uint64_t needed_bytes,
@@ -720,45 +639,34 @@ std::uint64_t MaintenanceManager::EvictForQuota(std::uint64_t needed_bytes,
   // lineages, pinned ids and unpublished (manifest-less) objects are never
   // candidates, so an in-flight checkpoint and every job's recovery path
   // stay intact.
-  //
-  // The survey is cached across calls: it costs one List + manifest walk per
-  // store job, on a store worker's critical path, and a burst of quota trips
-  // would otherwise repeat it per trip. The cache stays valid until a commit,
-  // GC or pin re-draws the line (NoteStoreMutation bumps the epoch); our own
-  // evictions consume it in place — deleting a unit cannot change any other
-  // candidate's staleness.
-  const std::uint64_t epoch = impl_->mutation_epoch.load(std::memory_order_acquire);
-  if (!impl_->survey_cached || impl_->survey_epoch != epoch) {
-    impl_->survey_cache.clear();
-    for (const auto& job : ListStoreJobs(*impl_->store)) {
-      // Orphans are never candidates; skip measuring them.
-      const JobSurvey survey = SurveyJob(*impl_->store, job, /*measure_orphans=*/false);
-      RetentionPlan plan = PlanRetention(survey, 1, impl_->PinsOf(job));
-      if (!plan.refused.empty()) {
-        CNR_LOG_WARN << "maintenance: quota eviction skips " << plan.refused;
-        continue;
-      }
-      const std::uint32_t priority = impl_->PriorityOf(job);
-      for (auto& unit : plan.units) {
-        impl_->survey_cache.push_back({priority, job, std::move(unit)});
-      }
+  struct Candidate {
+    std::uint32_t priority = 0;
+    std::string job;
+    LineageUnit unit;
+  };
+  std::vector<Candidate> candidates;
+  for (const auto& job : ListStoreJobs(*impl_->store)) {
+    // Orphans are never candidates; skip measuring them.
+    const JobSurvey survey = SurveyJob(*impl_->store, job, /*measure_orphans=*/false);
+    RetentionPlan plan = PlanRetention(survey, 1, impl_->PinsOf(job));
+    if (!plan.refused.empty()) {
+      CNR_LOG_WARN << "maintenance: quota eviction skips " << plan.refused;
+      continue;
     }
-    std::stable_sort(impl_->survey_cache.begin(), impl_->survey_cache.end(),
-                     [](const Impl::Candidate& a, const Impl::Candidate& b) {
-                       if (a.priority != b.priority) return a.priority < b.priority;
-                       return a.job < b.job;
-                     });
-    impl_->survey_cached = true;
-    impl_->survey_epoch = epoch;  // the epoch observed BEFORE the survey ran
+    const std::uint32_t priority = impl_->PriorityOf(job);
+    for (auto& unit : plan.units) candidates.push_back({priority, job, std::move(unit)});
   }
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [](const Candidate& a, const Candidate& b) {
+                     if (a.priority != b.priority) return a.priority < b.priority;
+                     return a.job < b.job;
+                   });
 
   std::uint64_t freed = 0;
-  std::size_t consumed = 0;
-  for (const auto& c : impl_->survey_cache) {
+  for (const auto& c : candidates) {
     if (freed >= needed_bytes) break;
     DeleteUnit(*impl_->store, c.job, c.unit);
     freed += c.unit.bytes;
-    ++consumed;
     if (c.unit.is_cut) {
       CNR_LOG_WARN << "maintenance: quota pressure (job " << requesting_job
                    << ") evicted stale cut " << c.unit.epoch << " of job " << c.job << " ("
@@ -775,9 +683,6 @@ std::uint64_t MaintenanceManager::EvictForQuota(std::uint64_t needed_bytes,
     stats.evicted_checkpoints += c.unit.ids.size();
     stats.evicted_bytes += c.unit.bytes;
   }
-  impl_->survey_cache.erase(impl_->survey_cache.begin(),
-                            impl_->survey_cache.begin() +
-                                static_cast<std::ptrdiff_t>(consumed));
   return freed;
 }
 
@@ -792,10 +697,10 @@ void MaintenanceManager::WithQuotaEviction(const std::string& job, std::uint64_t
       if (EvictForQuota(needed_bytes, job) == 0) break;
     }
   }
-  // Nothing left to evict — but a CONCURRENT trip may have consumed the last
+  // Nothing left to evict — but a CONCURRENT trip may have evicted the last
   // candidates while freeing exactly the bytes this write needs (two store
   // workers hitting the quota together: the first evicts, the second finds
-  // the candidate survey spent). This final attempt's QuotaExceeded stands.
+  // nothing left). This final attempt's QuotaExceeded stands.
   write();
 }
 
@@ -804,7 +709,6 @@ void MaintenanceManager::Pin(const std::string& job, const std::vector<std::uint
     util::MutexLock lock(impl_->mu);
     impl_->pins[job].insert(ids.begin(), ids.end());
   }
-  NoteStoreMutation();
 }
 
 void MaintenanceManager::Unpin(const std::string& job) {
@@ -812,7 +716,6 @@ void MaintenanceManager::Unpin(const std::string& job) {
     util::MutexLock lock(impl_->mu);
     impl_->pins.erase(job);
   }
-  NoteStoreMutation();
 }
 
 GcJobReport MaintenanceManager::GcAfterCommit(const std::string& job) {
@@ -820,7 +723,6 @@ GcJobReport MaintenanceManager::GcAfterCommit(const std::string& job) {
   options.keep_lineages = impl_->KeepOf(job);
   GcJobReport report = GcJob(*impl_->store, job, options, impl_->PinsOf(job));
   if (!report.refused.empty()) throw std::runtime_error("gc: " + report.refused);
-  if (report.bytes_freed > 0) NoteStoreMutation();
   return report;
 }
 
@@ -835,7 +737,6 @@ GcReport MaintenanceManager::Gc(const GcOptions& options) {
     safe.keep_lineages = std::max(options.keep_lineages, impl_->KeepOf(job));
     report.Add(GcJob(*impl_->store, job, safe, impl_->PinsOf(job)));
   }
-  if (!report.dry_run && report.bytes_freed > 0) NoteStoreMutation();
   return report;
 }
 

@@ -28,14 +28,13 @@
 //      plus core::ScrubDeltaLog over the live checkpoint's delta log — on a
 //      util::SimClock-driven schedule (background self-scrub) so
 //      simulated-time tests can compress days of scrubbing into
-//      milliseconds. Scheduled scrubs run as a stage on the shared
-//      pipeline::StageExecutor (MaintenanceConfig::executor — the service
-//      passes its own), with a small concurrency cap (scrub_workers) so one
-//      huge chain cannot delay every other job's cadence; the quota-eviction
-//      candidate survey is cached between evictions and invalidated by
-//      NoteStoreMutation (the service calls it per commit/GC), so a burst of
-//      quota trips does not re-List the tier on a store worker's critical
-//      path.
+//      milliseconds. Scheduled scrubs run one job at a time as a stage on
+//      the shared pipeline::StageExecutor (MaintenanceConfig::executor — the
+//      service passes its own).
+//
+// The manager keeps no copy of store state: every scrub and every quota
+// eviction reads the store at the moment it acts, so a write by another
+// process, or bit rot, is seen by the next one.
 //
 // Operator-facing semantics (eviction order, what a scrub failure means,
 // restart behavior, quota sizing) are documented in docs/OPERATIONS.md.
@@ -246,27 +245,19 @@ struct MaintenanceConfig {
   // Simulated clock driving per-job scrub schedules; nullptr disables
   // background scrubbing entirely. The clock must outlive the manager.
   util::SimClock* clock = nullptr;
-  // Fan-out of each background scrub run.
-  pipeline::ScrubConfig scrub;
-  // Stage runtime the scheduled scrubs (and their inner fetch/decode
-  // stages) run on — the service passes its shared executor, so scrub I/O
-  // is arbitrated against the write stages by the same controller. Null:
-  // the manager provisions a private executor when a clock is set. Must
-  // outlive the manager.
+  // Stage runtime every scrub (and its inner fetch/decode stages) runs on —
+  // the service passes its shared executor, so scrub I/O is arbitrated
+  // against the write stages by the same controller. Required when `clock`
+  // is set (the scheduled scrubs run as a stage on it); null otherwise
+  // means each on-demand scrub provisions a private executor for its run.
+  // Must outlive the manager.
   pipeline::StageExecutor* executor = nullptr;
-  // Concurrency cap of the scrub stage: how many jobs' scheduled scrubs may
-  // run at once.
-  std::size_t scrub_workers = 1;
 };
 
 // Live maintenance counters of one job.
 struct JobMaintenanceStats {
   std::uint64_t scrubs_run = 0;
   std::uint64_t scrub_issues = 0;  // cumulative across runs
-  // Cumulative chunk verdicts served from the job's incremental-scrub cache
-  // instead of a fetch+decode (pipeline::ScrubCache). A steady-state scrub
-  // over an unchanged store is all cache hits — zero store Gets.
-  std::uint64_t scrub_cache_hits = 0;
   std::uint64_t evicted_checkpoints = 0;
   std::uint64_t evicted_bytes = 0;
   util::SimTime last_scrub_at = -1;  // -1 = never scrubbed
@@ -313,12 +304,9 @@ class MaintenanceManager {
   // `needed_bytes` of tracked occupancy is freed or no candidate remains.
   // Never touches a job's newest lineage, a pinned or unpublished
   // (in-flight) checkpoint, or any job whose plan refused. Returns the bytes
-  // freed — 0 means nothing evictable is left.
-  //
-  // The candidate survey (one List + manifest walk per store job) is cached
-  // between calls and consumed in place as candidates are evicted, so a
-  // burst of quota trips costs one survey, not one per trip — it sits on a
-  // store worker's critical path. NoteStoreMutation invalidates the cache.
+  // freed — 0 means nothing evictable is left. Each call surveys every store
+  // job afresh (one List + manifest walk per job), so a job written by
+  // another service on the same tier is ordered by what is stored now.
   std::uint64_t EvictForQuota(std::uint64_t needed_bytes, const std::string& requesting_job);
 
   // The one quota-retry loop: runs `write`; on storage::QuotaExceeded evicts
@@ -329,13 +317,6 @@ class MaintenanceManager {
   // QuotaExceeded stands. `write` must be safe to re-run.
   void WithQuotaEviction(const std::string& job, std::uint64_t needed_bytes,
                          const std::function<void()>& write);
-
-  // Tells the maintenance plane the manifested state of the store changed
-  // (a manifest published, GC ran) and the cached eviction survey is stale.
-  // The service calls this on its commit stage; external writers sharing
-  // the tier should call it after publishing or deleting checkpoints. Cheap
-  // (an atomic bump), safe from any thread.
-  void NoteStoreMutation();
 
   // Protects checkpoints whose unit the survey cannot see yet: a sharded
   // job's sub-checkpoints before the COORD that ties them into a cut lands.
@@ -363,21 +344,8 @@ class MaintenanceManager {
   // kernel, followed by the live checkpoint's delta log
   // (core::ScrubDeltaLog) — base + segments are verified as one lineage
   // unit; also what the background schedule runs. A job with no checkpoints
-  // yields an empty, clean report.
-  //
-  // On-demand scrubs are incremental: each job owns a pipeline::ScrubCache
-  // of per-chunk verdicts, so a repeat scrub over an unchanged store
-  // re-reports the cached verdicts without a single store Get. The cache is
-  // invalidated (wholesale) whenever NoteStoreMutation has been called since
-  // the job's last scrub — commits and GC move the mutation epoch, so a
-  // verdict can never outlive the object it judged. (Quota eviction does not
-  // bump the epoch — it consumes its own cached candidate survey — and does
-  // not need to here either: it only ever deletes stale lineages, never an
-  // object on a live chain or in its delta log, the only objects a scrub
-  // judges.) SCHEDULED scrubs, by contrast, always re-read every byte:
-  // silent bit rot bumps no epoch, and catching it is the schedule's whole
-  // job. Each schedule fire refreshes the cache, so on-demand scrubs between
-  // fires stay zero-Get.
+  // yields an empty, clean report. Every scrub fetches every object of the
+  // live chain and its delta log, so silent bit rot is found on the next one.
   pipeline::ScrubReport ScrubJobNow(const std::string& job);
 
   JobMaintenanceStats job_stats(const std::string& job) const;

@@ -12,6 +12,19 @@ std::vector<ChunkTask> BuildChunkTasks(const ModelSnapshot& snap, const Checkpoi
                                        std::size_t chunk_rows) {
   if (chunk_rows == 0) throw std::invalid_argument("BuildChunkTasks: chunk_rows == 0");
   const bool incremental = plan.kind == storage::CheckpointKind::kIncremental;
+  if (incremental) {
+    bool shaped = plan.rows.size() == snap.shards.size();
+    for (std::size_t t = 0; shaped && t < snap.shards.size(); ++t) {
+      shaped = plan.rows[t].size() == snap.shards[t].size();
+      for (std::size_t s = 0; shaped && s < snap.shards[t].size(); ++s) {
+        shaped = plan.rows[t][s].size() == snap.shards[t][s].num_rows;
+      }
+    }
+    if (!shaped) {
+      throw std::invalid_argument(
+          "BuildChunkTasks: incremental plan rows do not match the snapshot's shape");
+    }
+  }
 
   std::vector<ChunkTask> tasks;
   for (std::size_t t = 0; t < snap.shards.size(); ++t) {

@@ -11,7 +11,6 @@
 
 #include "core/pipeline/executor.h"
 #include "storage/retrying_store.h"
-#include "util/crc32.h"
 #include "util/sync.h"
 #include "util/wallclock.h"
 
@@ -446,83 +445,7 @@ void CanonicalizeIssues(ScrubReport& report) {
             });
 }
 
-// Read-through view over the chain resolve's store: manifests are small, so
-// memoizing their raw bytes in the ScrubCache lets a repeat scrub resolve
-// the whole chain without touching the store.
-class CacheReadThroughStore : public storage::ObjectStore {
- public:
-  CacheReadThroughStore(storage::ObjectStore& backing, ScrubCache& cache,
-                        std::atomic<std::size_t>& hits)
-      : backing_(backing), cache_(cache), hits_(hits) {}
-
-  void Put(const std::string& key, std::vector<std::uint8_t> data) override {
-    backing_.Put(key, std::move(data));
-  }
-  std::optional<std::vector<std::uint8_t>> Get(const std::string& key) override {
-    if (auto hit = cache_.LookupRaw(key)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return hit;
-    }
-    auto blob = backing_.Get(key);
-    if (blob) cache_.StoreRaw(key, *blob);
-    return blob;
-  }
-  bool Exists(const std::string& key) override { return backing_.Exists(key); }
-  bool Delete(const std::string& key) override { return backing_.Delete(key); }
-  std::vector<std::string> List(const std::string& prefix) override {
-    return backing_.List(prefix);
-  }
-  std::uint64_t TotalBytes() override { return backing_.TotalBytes(); }
-  storage::StoreStats Stats() override { return backing_.Stats(); }
-
- private:
-  storage::ObjectStore& backing_;
-  ScrubCache& cache_;
-  std::atomic<std::size_t>& hits_;
-};
-
 }  // namespace
-
-// ------------------------------------------------------------- ScrubCache --
-
-std::optional<ScrubCache::Verdict> ScrubCache::Lookup(
-    const std::string& key, std::uint64_t declared_bytes) const {
-  util::MutexLock lock(mu_);
-  const auto it = verdicts_.find(key);
-  if (it == verdicts_.end() || it->second.declared_bytes != declared_bytes) {
-    return std::nullopt;
-  }
-  return it->second;
-}
-
-void ScrubCache::Store(const std::string& key, Verdict v) {
-  util::MutexLock lock(mu_);
-  verdicts_[key] = std::move(v);
-}
-
-std::optional<std::vector<std::uint8_t>> ScrubCache::LookupRaw(
-    const std::string& key) const {
-  util::MutexLock lock(mu_);
-  const auto it = raw_.find(key);
-  if (it == raw_.end()) return std::nullopt;
-  return it->second;
-}
-
-void ScrubCache::StoreRaw(const std::string& key, std::vector<std::uint8_t> bytes) {
-  util::MutexLock lock(mu_);
-  raw_[key] = std::move(bytes);
-}
-
-void ScrubCache::Clear() {
-  util::MutexLock lock(mu_);
-  verdicts_.clear();
-  raw_.clear();
-}
-
-std::size_t ScrubCache::size() const {
-  util::MutexLock lock(mu_);
-  return verdicts_.size() + raw_.size();
-}
 
 ScrubReport ScrubChain(storage::ObjectStore& store, const std::string& job, std::uint64_t id) {
   ScrubReport report;
@@ -574,16 +497,9 @@ ScrubReport ScrubChainParallel(storage::ObjectStore& store, const std::string& j
   storage::RetryingStore retrying(store, retry_policy);
 
   ScrubReport report;
-  std::atomic<std::size_t> cache_hits{0};
-  std::optional<CacheReadThroughStore> cached_view;
-  storage::ObjectStore* resolve_store = &retrying;
-  if (cfg.cache) {
-    cached_view.emplace(retrying, *cfg.cache, cache_hits);
-    resolve_store = &*cached_view;
-  }
   std::vector<storage::Manifest> manifests;
   try {
-    manifests = ResolveChainManifests(*resolve_store, job, id);
+    manifests = ResolveChainManifests(retrying, job, id);
   } catch (const std::exception& e) {
     report.issues.push_back({"", std::string("chain unresolvable: ") + e.what()});
     return report;
@@ -649,17 +565,7 @@ ScrubReport ScrubChainParallel(storage::ObjectStore& store, const std::string& j
         const storage::Manifest& m = manifests[item->pos];
         const storage::ChunkInfo& info = m.chunks[item->chunk];
         const std::optional<std::vector<std::uint8_t>> blob = std::move(item->blob);
-        const ChunkVerdict v = ScrubOneChunk(blob, m.quant, info);
-        if (cfg.cache) {
-          ScrubCache::Verdict cv;
-          cv.declared_bytes = info.bytes;
-          cv.bytes = v.bytes;
-          cv.crc = blob ? util::Crc32c(*blob) : 0;
-          cv.decoded_rows = v.decoded_rows;
-          cv.issues = v.issues;
-          cfg.cache->Store(info.key, std::move(cv));
-        }
-        merge_chunk(item->pos, v);
+        merge_chunk(item->pos, ScrubOneChunk(blob, m.quant, info));
         return true;
       });
 
@@ -675,16 +581,6 @@ ScrubReport ScrubChainParallel(storage::ObjectStore& store, const std::string& j
           ChunkVerdict v;
           if (TryScrubGet(retrying, m.dense_key, blob, fetch_issues)) {
             v = ScrubDenseBlob(blob, m);
-            if (cfg.cache) {
-              // Fetch *failures* are transient and never memoized; a
-              // definitive verdict (present or missing) is.
-              ScrubCache::Verdict cv;
-              cv.declared_bytes = m.dense_bytes;
-              cv.bytes = v.bytes;
-              cv.crc = blob ? util::Crc32c(*blob) : 0;
-              cv.issues = v.issues;
-              cfg.cache->Store(m.dense_key, std::move(cv));
-            }
           }
           {
             util::MutexLock lock(report_mu);
@@ -708,14 +604,7 @@ ScrubReport ScrubChainParallel(storage::ObjectStore& store, const std::string& j
           return true;
         }
         if (!blob) {
-          const ChunkVerdict v = ScrubOneChunk(blob, m.quant, info);
-          if (cfg.cache) {
-            ScrubCache::Verdict cv;
-            cv.declared_bytes = info.bytes;
-            cv.issues = v.issues;
-            cfg.cache->Store(info.key, std::move(cv));
-          }
-          merge_chunk(item->pos, v);
+          merge_chunk(item->pos, ScrubOneChunk(blob, m.quant, info));
           return true;
         }
         decode_lane.Push(ScrubDecodeJob{item->pos, item->chunk, std::move(*blob)});
@@ -742,40 +631,11 @@ ScrubReport ScrubChainParallel(storage::ObjectStore& store, const std::string& j
   };
   for (std::size_t p = 0; p < n_pos; ++p) {
     for (std::size_t c = 0; c < manifests[p].chunks.size(); ++c) {
-      const storage::ChunkInfo& info = manifests[p].chunks[c];
-      if (cfg.cache) {
-        if (auto hit = cfg.cache->Lookup(info.key, info.bytes)) {
-          util::MutexLock lock(report_mu);
-          ++report.chunks_checked;
-          ++report.cache_hits;
-          report.rows_checked += hit->decoded_rows;
-          report.bytes_checked += hit->bytes;
-          decoded_rows[p] += hit->decoded_rows;
-          report.issues.insert(report.issues.end(), hit->issues.begin(),
-                               hit->issues.end());
-          continue;
-        }
-      }
       push_gated(ScrubFetchJob{p, c});
     }
-    if (!manifests[p].dense_key.empty()) {
-      bool hit_dense = false;
-      if (cfg.cache) {
-        if (auto hit = cfg.cache->Lookup(manifests[p].dense_key,
-                                         manifests[p].dense_bytes)) {
-          util::MutexLock lock(report_mu);
-          ++report.cache_hits;
-          report.bytes_checked += hit->bytes;
-          report.issues.insert(report.issues.end(), hit->issues.begin(),
-                               hit->issues.end());
-          hit_dense = true;
-        }
-      }
-      if (!hit_dense) push_gated(ScrubFetchJob{p, kDenseChunk});
-    }
+    if (!manifests[p].dense_key.empty()) push_gated(ScrubFetchJob{p, kDenseChunk});
   }
   exec->CloseStages({ids.fetch, ids.decode});
-  report.cache_hits += cache_hits.load(std::memory_order_relaxed);
 
   for (std::size_t p = 0; p < n_pos; ++p) {
     std::uint64_t manifest_rows = 0;

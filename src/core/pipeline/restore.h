@@ -56,8 +56,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -66,7 +64,6 @@
 #include "core/pipeline/executor.h"
 #include "storage/manifest.h"
 #include "storage/object_store.h"
-#include "util/sync.h"
 
 namespace cnr::core::pipeline {
 
@@ -178,54 +175,12 @@ struct ScrubReport {
                                            // (core::ScrubDeltaLog)
   std::uint64_t rows_checked = 0;    // decoded rows across all chunks
   std::uint64_t bytes_checked = 0;   // chunk + dense bytes read
-  std::size_t cache_hits = 0;        // objects settled from a ScrubCache
-                                     // without touching the store
   // Empty == the chain is restorable. Canonically ordered (by key, then
   // message), so reports of the serial and parallel scrubbers over the same
   // store compare equal with ==.
   std::vector<ScrubIssue> issues;
 
   bool clean() const { return issues.empty(); }
-};
-
-// Cross-scrub verdict memo making repeat scrubs over an unchanged store
-// incremental: a verdict is keyed by object key and remembers the
-// manifest-declared size, the stored size, and the payload CRC it was
-// computed over, so a repeat scrub settles the object from the cache without
-// a single Get. The cache itself cannot observe store mutations — the OWNER
-// invalidates it: core::MaintenanceManager keeps one per job and Clear()s it
-// whenever the job's mutation epoch moves (any checkpoint write, GC, or
-// delta-log mutation). Thread-safe; shared by concurrent scrubs.
-class ScrubCache {
- public:
-  struct Verdict {
-    std::uint64_t declared_bytes = 0;  // manifest-declared size (cache key
-                                       // part: a re-published object with a
-                                       // new declared size misses)
-    std::uint64_t bytes = 0;           // stored size observed (0 if missing)
-    std::uint32_t crc = 0;             // payload CRC observed (0 if n/a)
-    std::uint64_t decoded_rows = 0;
-    std::vector<ScrubIssue> issues;    // the verdict itself (empty = clean)
-  };
-
-  // Verdict for `key` if one is cached AND its declared size still matches.
-  std::optional<Verdict> Lookup(const std::string& key,
-                                std::uint64_t declared_bytes) const EXCLUDES(mu_);
-  void Store(const std::string& key, Verdict v) EXCLUDES(mu_);
-
-  // Raw small-object memo (manifests): lets the chain resolve skip its Gets.
-  std::optional<std::vector<std::uint8_t>> LookupRaw(const std::string& key) const
-      EXCLUDES(mu_);
-  void StoreRaw(const std::string& key, std::vector<std::uint8_t> bytes)
-      EXCLUDES(mu_);
-
-  void Clear() EXCLUDES(mu_);
-  std::size_t size() const EXCLUDES(mu_);
-
- private:
-  mutable util::Mutex mu_;
-  std::map<std::string, Verdict> verdicts_ GUARDED_BY(mu_);
-  std::map<std::string, std::vector<std::uint8_t>> raw_ GUARDED_BY(mu_);
 };
 
 // Fan-out of one parallel scrub (ScrubChainParallel): the scrub borrows the
@@ -247,12 +202,6 @@ struct ScrubConfig {
   // passes its own executor, so scrub I/O competes with (and is arbitrated
   // against) the write stages by the same controller.
   StageExecutor* executor = nullptr;
-  // Verdict memo (see ScrubCache). Null = every object is fetched, the
-  // pre-incremental behavior. With a cache, objects whose verdicts are
-  // memoized settle without a Get and are re-memoized after any miss, so a
-  // repeat scrub over an unchanged store issues zero Gets. The owner must
-  // Clear() the cache on store mutation; the cache outlives the scrub.
-  ScrubCache* cache = nullptr;
 };
 
 // Store-scrubbing mode of the restore drill: walks checkpoint `id`'s

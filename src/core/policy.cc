@@ -5,6 +5,25 @@
 
 namespace cnr::core {
 
+namespace {
+
+// A dirty set the policy consumes must cover exactly the model's rows and,
+// once the policy accumulates a union, match that union's shape.
+void CheckDirtyShape(const DirtySets& dirty, std::uint64_t total_rows,
+                     const std::optional<DirtySets>& since_baseline) {
+  std::uint64_t rows = 0;
+  for (const auto& table : dirty) {
+    for (const auto& shard : table) rows += shard.size();
+  }
+  if (rows != total_rows || (since_baseline && !SameShape(dirty, *since_baseline))) {
+    throw std::invalid_argument(
+        "IncrementalPolicy: interval dirty set does not match the model's shape (" +
+        std::to_string(rows) + " rows; the model has " + std::to_string(total_rows) + ")");
+  }
+}
+
+}  // namespace
+
 std::string PolicyName(PolicyKind kind) {
   switch (kind) {
     case PolicyKind::kAlwaysFull: return "always-full";
@@ -59,6 +78,11 @@ void IncrementalPolicy::OnCheckpointFailed() {
 CheckpointPlan IncrementalPolicy::Plan(std::uint64_t checkpoint_id, DirtySets interval_dirty) {
   if (have_baseline_ && checkpoint_id <= last_checkpoint_id_) {
     throw std::invalid_argument("IncrementalPolicy: checkpoint ids must increase");
+  }
+  // Validate before any state moves, so a malformed submission throws and
+  // leaves the policy as it was. A full plan ignores the dirty set.
+  if (have_baseline_ && kind_ != PolicyKind::kAlwaysFull) {
+    CheckDirtyShape(interval_dirty, total_rows_, since_baseline_);
   }
   const std::uint64_t previous_id = last_checkpoint_id_;
   last_checkpoint_id_ = checkpoint_id;

@@ -115,7 +115,6 @@ struct ServiceImpl {
     cfg.encode_threads = std::max<std::size_t>(cfg.encode_threads, 1);
     cfg.store_threads = std::max<std::size_t>(cfg.store_threads, 1);
     cfg.queue_capacity = std::max<std::size_t>(cfg.queue_capacity, 1);
-    cfg.scrub_workers = std::max<std::size_t>(cfg.scrub_workers, 1);
     if (cfg.put_attempts < 1) {
       throw std::invalid_argument("CheckpointService: put_attempts < 1");
     }
@@ -158,9 +157,7 @@ struct ServiceImpl {
     MaintenanceConfig mcfg;
     mcfg.evict_on_quota = cfg.evict_on_quota;
     mcfg.clock = cfg.maintenance_clock;
-    mcfg.scrub = cfg.scrub;
     mcfg.executor = &exec;
-    mcfg.scrub_workers = cfg.scrub_workers;
     maintenance = std::make_unique<MaintenanceManager>(accounting, store, mcfg);
     // Startup reconciliation: attribute the store's pre-existing lineages
     // before any stage worker runs, so stats() and the quota see reality
@@ -626,8 +623,6 @@ struct ServiceImpl {
       result.manifest = std::move(ckpt->manifest);
       result.bytes_written = result.manifest.TotalBytes() + commit.manifest_bytes;
       for (const auto& c : result.manifest.chunks) result.rows_written += c.num_rows;
-      result.encode_wall = std::chrono::microseconds(
-          static_cast<std::int64_t>(result.manifest.timings.encode_us));
       result.timings = result.manifest.timings;
       // Result-side commit wall includes the manifest put itself (the
       // persisted value cannot, since it rides inside that very object).
@@ -648,17 +643,9 @@ struct ServiceImpl {
       if (ckpt->req.post_commit) ckpt->req.post_commit();
     } catch (...) {
       NotifyPolicyCheckpointFailed(job);
-      // The manifest DID publish (and post_commit may have GC'd): the
-      // eviction survey is stale either way.
-      maintenance->NoteStoreMutation();
       Retire(ckpt, nullptr, std::current_exception());
       return;
     }
-
-    // A published manifest re-draws the live/stale line (a new full strands
-    // the whole previous chain), and post_commit GC deletes — either way the
-    // maintenance plane's cached eviction survey is stale now.
-    maintenance->NoteStoreMutation();
     Retire(ckpt, &result, nullptr);
   }
 
@@ -768,17 +755,6 @@ std::unique_ptr<DeltaLog> JobHandle::OpenDeltaLog(DeltaLogConfig config) {
   if (config.compaction_clock == nullptr) {
     config.compaction_clock = impl_->cfg.maintenance_clock;
   }
-  // Every durable segment changes the store's manifested footprint: tell the
-  // maintenance plane, so the quota-eviction survey and the job's
-  // incremental-scrub cache are re-validated before they are trusted again.
-  // The maintenance manager outlives every handle-opened log (the service
-  // contract: logs close before the service), so the raw pointer is safe.
-  MaintenanceManager* maintenance = impl_->maintenance.get();
-  auto user_cb = std::move(config.on_mutation);
-  config.on_mutation = [maintenance, user_cb = std::move(user_cb)] {
-    maintenance->NoteStoreMutation();
-    if (user_cb) user_cb();
-  };
   return std::make_unique<DeltaLog>(impl_->store, impl_->exec, std::move(config));
 }
 

@@ -187,14 +187,9 @@ struct ServiceConfig {
   // when nothing evictable remains does QuotaExceeded reach the submitter.
   bool evict_on_quota = true;
   // Simulated clock driving JobConfig::scrub_interval schedules; nullptr
-  // disables background self-scrub. Must outlive the service.
+  // disables background self-scrub. Scheduled scrubs run one job at a time
+  // on the service's executor. Must outlive the service.
   util::SimClock* maintenance_clock = nullptr;
-  // Fan-out of each background scrub run (runs on the service's executor).
-  pipeline::ScrubConfig scrub;
-  // Concurrency cap of the background scrub stage: how many jobs' scheduled
-  // scrubs may run at once, so one huge chain cannot delay every other job's
-  // cadence.
-  std::size_t scrub_workers = 1;
 
   // --- tiered write-back storage (storage/tiered_store.h) ---
   // When set, the service interposes a TieredStore between the accounting
@@ -382,11 +377,8 @@ class JobHandle {
   // StageExecutor, writes go through the retrying/accounting storage view
   // (segment bytes count against the shared quota and show in occupancy),
   // scheduled compaction rides the service's maintenance clock when the
-  // caller left compaction_clock null, and every sealed segment notifies
-  // the maintenance plane (NoteStoreMutation) so the eviction survey and
-  // the incremental-scrub caches never trust a stale picture — a caller-
-  // provided on_mutation still runs after that. `config.job` is forced to
-  // this handle's name. The caller picks base_checkpoint_id (normally the
+  // caller left compaction_clock null. `config.job` is forced to this
+  // handle's name. The caller picks base_checkpoint_id (normally the
   // id of the checkpoint just committed), quantization, group-commit and
   // compaction cadence. The returned log must be destroyed (or at least
   // Flush()ed) before the service shuts down.

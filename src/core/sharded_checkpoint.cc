@@ -116,8 +116,7 @@ CutResult CutTicket::Wait() {
   const auto manifest_bytes = m.Encode();
   put(storage::Manifest::CutKey(st.job, st.epoch), manifest_bytes);
   // The COORD landed: the survey sees the cut now and protects its shards'
-  // chains and every newer id itself, so the job's pins can go (this also
-  // tells the maintenance plane the store changed).
+  // chains and every newer id itself, so the job's pins can go.
   maintenance.Unpin(st.job);
   out.bytes_written += st.dense_blob.size() + manifest_bytes.size();
   out.committed = true;

@@ -1,5 +1,7 @@
 #include "core/tracking.h"
 
+#include <stdexcept>
+
 namespace cnr::core {
 
 DirtySets MakeEmptyDirtySets(const dlrm::DlrmModel& model) {
@@ -28,7 +30,19 @@ std::uint64_t CountTotalRows(const dlrm::DlrmModel& model) {
   return n;
 }
 
+bool SameShape(const DirtySets& a, const DirtySets& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    if (a[t].size() != b[t].size()) return false;
+    for (std::size_t s = 0; s < a[t].size(); ++s) {
+      if (a[t][s].size() != b[t][s].size()) return false;
+    }
+  }
+  return true;
+}
+
 void MergeDirtySets(DirtySets& dst, const DirtySets& src) {
+  if (!SameShape(dst, src)) throw std::invalid_argument("MergeDirtySets: shapes differ");
   for (std::size_t t = 0; t < dst.size(); ++t) {
     for (std::size_t s = 0; s < dst[t].size(); ++s) dst[t][s] |= src[t][s];
   }

@@ -33,7 +33,12 @@ std::uint64_t CountDirtyRows(const DirtySets& sets);
 // Total rows across all tables/shards (for fraction-of-model measures).
 std::uint64_t CountTotalRows(const dlrm::DlrmModel& model);
 
-// OR-merges `src` into `dst` (same shape required).
+// True iff `a` and `b` have the same tables, shards per table and bits per
+// shard.
+bool SameShape(const DirtySets& a, const DirtySets& b);
+
+// OR-merges `src` into `dst`. Throws std::invalid_argument, changing nothing,
+// unless both have the same shape.
 void MergeDirtySets(DirtySets& dst, const DirtySets& src);
 
 class ModifiedRowTracker {

@@ -70,7 +70,6 @@ WriteResult WriteCheckpoint(storage::ObjectStore& store, const ModelSnapshot& sn
 
   result.bytes_written = result.manifest.TotalBytes() + commit.manifest_bytes;
   for (const auto& c : result.manifest.chunks) result.rows_written += c.num_rows;
-  result.encode_wall = std::chrono::microseconds(static_cast<std::int64_t>(encode_us.load()));
   result.timings = result.manifest.timings;
   result.write_wall = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - entry_time);

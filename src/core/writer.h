@@ -44,9 +44,7 @@ struct WriteResult {
   storage::Manifest manifest;
   std::uint64_t bytes_written = 0;       // chunks + dense + manifest
   std::uint64_t rows_written = 0;
-  std::chrono::microseconds encode_wall{0};  // summed per-chunk encode time
-  // Full per-stage breakdown (encode_wall == timings.encode_us; kept for
-  // callers that predate staged timing).
+  // Per-stage breakdown (encode_us is the summed per-chunk encode time).
   storage::StageTimings timings;
   // Wall time from write-path entry (pipeline: submit; facade: call) until
   // the manifest was stored — the checkpoint's time-to-valid.

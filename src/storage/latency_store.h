@@ -5,9 +5,9 @@
 // behind CPU work can be demonstrated with honest wall-clock measurements,
 // and tier benches (bench/tiered_store.cpp) can model a realistic 10–100×
 // near/far gap: an NVMe-like near tier at tens of µs and GB/s against a
-// remote object store at hundreds of µs and hundreds of MB/s.
-// (RateLimitedStore models the remote link on a *simulated* timeline
-// instead — use that for experiments, this for live benches and examples.)
+// remote object store at hundreds of µs and hundreds of MB/s. It is the one
+// link-model decorator: every bench, example and perfbench workload that
+// models a link uses it.
 #pragma once
 
 #include <chrono>

@@ -3,8 +3,8 @@
 // Checkpoints at Facebook are written to remote object storage for
 // availability and scalability (paper §2.2, §4). This repo substitutes an
 // in-memory object store; the bandwidth/latency behaviour of the remote tier
-// is modeled separately by RateLimitedStore so experiments can account for
-// write bandwidth — the paper's primary bottleneck.
+// is modeled separately by LatencyInjectedStore so experiments can account
+// for write bandwidth — the paper's primary bottleneck.
 #pragma once
 
 #include <cstdint>

@@ -6,7 +6,7 @@
 // (pipeline store workers, the commit stage, GC, recovery reads) gets the
 // same policy, and so it composes with the other decorators:
 //
-//   RetryingStore -> RateLimitedStore -> FaultInjectionStore -> InMemoryStore
+//   RetryingStore -> LatencyInjectedStore -> FaultInjectionStore -> InMemoryStore
 //
 // Put and Get retry StoreUnavailable up to max_attempts; the final attempt's
 // exception propagates. Any other exception type is permanent and propagates

@@ -1,9 +1,10 @@
-// Simulated wall clock for interval-based experiments.
+// Simulated wall clock and time units.
 //
-// The paper's interval figures (Figs 6, 15, 16) are expressed in minutes of
-// training at a fixed throughput (e.g. 500K QPS). We reproduce them by mapping
-// trained samples to simulated time through a configurable throughput, so the
-// experiments are deterministic and run in seconds of real time.
+// The maintenance plane's scrub schedule, delta-log compaction, retry
+// backoff and the executor's controller ticks can all run on a SimClock, so
+// tests compress days of simulated time into milliseconds of real time,
+// deterministically; the cluster and failure-trace models (src/sim/) express
+// their durations in SimTime.
 #pragma once
 
 #include <atomic>
@@ -103,26 +104,5 @@ inline auto SimSleeper(SimClock& clock) {
     clock.Advance(static_cast<SimTime>(delay.count()));
   };
 }
-
-// Converts trained samples to simulated time at `qps` samples/second.
-class ThroughputModel {
- public:
-  explicit ThroughputModel(double qps) : qps_(qps) {
-    if (qps <= 0) throw std::invalid_argument("ThroughputModel: qps must be > 0");
-  }
-
-  double qps() const { return qps_; }
-
-  SimTime TimeForSamples(std::uint64_t samples) const {
-    return static_cast<SimTime>(static_cast<double>(samples) / qps_ * kSecond);
-  }
-
-  std::uint64_t SamplesForTime(SimTime t) const {
-    return static_cast<std::uint64_t>(static_cast<double>(t) / kSecond * qps_);
-  }
-
- private:
-  double qps_;
-};
 
 }  // namespace cnr::util

@@ -16,15 +16,15 @@
 //   - PR-7 follow-on: survivors keep streaming deltas while a peer restores
 //     the same job concurrently (run under TSan in CI), with lineage and
 //     occupancy parity asserted afterward.
-//   - Incremental scrub: repeat scrubs over an unchanged store settle from
-//     the per-job verdict cache with ZERO store Gets, delta segments
-//     included; a mutation epoch bump or real damage re-fetches.
+//   - On-demand scrub: every scrub fetches every chunk, dense blob and delta
+//     segment again, so rot between two scrubs of an idle job is flagged.
 //   - Maintenance lineage unit: survey attribution, GC, and quota accounting
 //     treat base + delta segments as one unit.
 #include "core/delta_log.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -128,20 +128,18 @@ void ExpectModelsEqual(const dlrm::DlrmModel& a, const dlrm::DlrmModel& b) {
   }
 }
 
-// Store decorator counting and recording Gets — the probe for "did the
-// incremental scrub actually skip the fetch" (every verified byte costs a
-// Get unless a cached verdict settles it) and for "did maintenance download
-// an object just to size it" (SizeOf is a stat, forwarded uncounted).
-class GetCountingStore : public storage::ObjectStore {
+// Store decorator recording the keys it Gets — the probe for "did the scrub
+// fetch every object again" and for "did maintenance download an object
+// just to size it" (SizeOf is a stat, forwarded unrecorded).
+class GetRecordingStore : public storage::ObjectStore {
  public:
-  explicit GetCountingStore(std::shared_ptr<storage::ObjectStore> inner)
+  explicit GetRecordingStore(std::shared_ptr<storage::ObjectStore> inner)
       : inner_(std::move(inner)) {}
 
   void Put(const std::string& key, std::vector<std::uint8_t> data) override {
     inner_->Put(key, std::move(data));
   }
   std::optional<std::vector<std::uint8_t>> Get(const std::string& key) override {
-    gets_.fetch_add(1, std::memory_order_relaxed);
     {
       util::MutexLock lock(mu_);
       got_.push_back(key);
@@ -159,7 +157,6 @@ class GetCountingStore : public storage::ObjectStore {
     return inner_->SizeOf(key);
   }
 
-  std::uint64_t gets() const { return gets_.load(std::memory_order_relaxed); }
   // Keys fetched since the last call.
   std::vector<std::string> TakeGot() {
     util::MutexLock lock(mu_);
@@ -168,7 +165,6 @@ class GetCountingStore : public storage::ObjectStore {
 
  private:
   std::shared_ptr<storage::ObjectStore> inner_;
-  std::atomic<std::uint64_t> gets_{0};
   util::Mutex mu_;
   std::vector<std::string> got_;
 };
@@ -588,78 +584,63 @@ TEST(DeltaLog, SurvivorStreamsWhilePeerRestores) {
   EXPECT_EQ(stats.jobs.at(kJob).store_bytes, survey.total_bytes());
 }
 
-// ------------------------------------------------- incremental scrub --------
+// ---------------------------------------------------- on-demand scrub -------
 
-// Repeat scrubs over an unchanged store must settle entirely from the
-// per-job verdict cache: the second scrub issues ZERO store Gets (chunks,
-// dense, manifests, and delta segments alike). A mutation epoch bump
-// re-fetches; real damage in a delta segment is detected, not cached over.
-TEST(DeltaLog, IncrementalScrubSkipsUnchangedStore) {
+// An on-demand scrub reads the store, not a memo of an earlier scrub: rot
+// that lands between two scrubs of an idle job, with no other call, is
+// flagged by the next one, because it fetches every chunk, the dense blob
+// and every delta segment again.
+TEST(DeltaLog, OnDemandScrubReadsEveryObject) {
   auto backing = std::make_shared<storage::InMemoryStore>();
-  auto counting = std::make_shared<GetCountingStore>(backing);
+  auto recording = std::make_shared<GetRecordingStore>(backing);
 
-  StreamTrace(*counting, counting, 5, Quant(quant::Method::kSymmetric, 8));
+  StreamTrace(*recording, recording, 5, Quant(quant::Method::kSymmetric, 8));
 
-  auto accounting = std::make_shared<storage::AccountingStore>(counting, 0);
-  MaintenanceManager manager(accounting, counting);
+  auto accounting = std::make_shared<storage::AccountingStore>(recording, 0);
+  MaintenanceManager manager(accounting, recording);
   manager.ReconcileJob(kJob);
 
   const auto first = manager.ScrubJobNow(kJob);
   EXPECT_TRUE(first.clean());
   EXPECT_GT(first.chunks_checked, 0u);
   EXPECT_EQ(first.delta_segments_checked, 5u);
-  EXPECT_EQ(first.cache_hits, 0u);
+  (void)recording->TakeGot();
 
-  const std::uint64_t gets_after_first = counting->gets();
+  // Flip one byte of a chunk and one byte of a delta segment, in place.
+  const auto manifest =
+      storage::Manifest::Decode(*backing->Get(storage::Manifest::ManifestKey(kJob, 1)));
+  ASSERT_FALSE(manifest.chunks.empty());
+  ASSERT_FALSE(manifest.dense_key.empty());
+  const std::string rotten_chunk = manifest.chunks[0].key;
+  const std::string rotten_segment = storage::Manifest::DeltaSegmentKey(kJob, 1, 3);
+  for (const std::string& key : {rotten_chunk, rotten_segment}) {
+    auto blob = backing->Get(key);
+    ASSERT_TRUE(blob.has_value()) << key;
+    (*blob)[blob->size() / 2] ^= 0x40;
+    backing->Put(key, std::move(*blob));
+  }
+
   const auto second = manager.ScrubJobNow(kJob);
-  EXPECT_TRUE(second.clean());
-  EXPECT_EQ(second.delta_segments_checked, 5u);
-  EXPECT_GT(second.cache_hits, 0u);
-  // THE pin: the unchanged store was never touched again.
-  EXPECT_EQ(counting->gets(), gets_after_first);
-  EXPECT_GE(manager.job_stats(kJob).scrub_cache_hits, second.cache_hits);
+  EXPECT_FALSE(second.clean());
+  bool chunk_flagged = false, segment_flagged = false;
+  for (const auto& issue : second.issues) {
+    chunk_flagged |= issue.key == rotten_chunk;
+    segment_flagged |= issue.key == rotten_segment;
+  }
+  EXPECT_TRUE(chunk_flagged);
+  EXPECT_TRUE(segment_flagged);
+  EXPECT_FALSE(manager.job_stats(kJob).last_scrub_clean);
 
-  // A store mutation invalidates the cache wholesale: the next scrub
-  // re-fetches (and still comes back clean).
-  manager.NoteStoreMutation();
-  const auto third = manager.ScrubJobNow(kJob);
-  EXPECT_TRUE(third.clean());
-  EXPECT_GT(counting->gets(), gets_after_first);
-
-  // Damage a delta segment in place (same size, flipped byte): after the
-  // epoch bump the scrub must fetch it again and flag it.
-  const std::string victim = storage::Manifest::DeltaSegmentKey(kJob, 1, 3);
-  auto blob = backing->Get(victim);
-  ASSERT_TRUE(blob.has_value());
-  (*blob)[blob->size() / 2] ^= 0x40;
-  backing->Put(victim, std::move(*blob));
-  manager.NoteStoreMutation();
-  const auto fourth = manager.ScrubJobNow(kJob);
-  EXPECT_FALSE(fourth.clean());
-  bool victim_flagged = false;
-  for (const auto& issue : fourth.issues) victim_flagged |= issue.key == victim;
-  EXPECT_TRUE(victim_flagged);
-}
-
-// The cache also serves ScrubDeltaLog standalone, and a fetch that fails is
-// never memoized as a verdict (the next scrub retries it).
-TEST(DeltaLog, ScrubDeltaLogStandaloneUsesCache) {
-  auto backing = std::make_shared<storage::InMemoryStore>();
-  auto counting = std::make_shared<GetCountingStore>(backing);
-  StreamTrace(*counting, counting, 4, Quant(quant::Method::kNone));
-
-  pipeline::ScrubCache cache;
-  pipeline::ScrubReport first;
-  ScrubDeltaLog(*counting, kJob, 1, first, &cache);
-  EXPECT_TRUE(first.clean());
-  EXPECT_EQ(first.delta_segments_checked, 4u);
-
-  const std::uint64_t gets_after_first = counting->gets();
-  pipeline::ScrubReport second;
-  ScrubDeltaLog(*counting, kJob, 1, second, &cache);
-  EXPECT_TRUE(second.clean());
-  EXPECT_EQ(second.cache_hits, 4u);
-  EXPECT_EQ(counting->gets(), gets_after_first);
+  // Every object of the live chain and its log was fetched again.
+  const std::vector<std::string> got = recording->TakeGot();
+  const auto fetched = [&got](const std::string& key) {
+    return std::find(got.begin(), got.end(), key) != got.end();
+  };
+  for (const auto& chunk : manifest.chunks) EXPECT_TRUE(fetched(chunk.key)) << chunk.key;
+  EXPECT_TRUE(fetched(manifest.dense_key));
+  const auto segments = backing->List(storage::Manifest::DeltaLogPrefix(kJob, 1));
+  EXPECT_EQ(segments.size(), 5u);
+  for (const auto& key : segments) EXPECT_TRUE(fetched(key)) << key;
 }
 
 // ---------------------------------------------- maintenance lineage ---------
@@ -707,7 +688,7 @@ TEST(DeltaLog, MaintenanceTreatsBasePlusLogAsOneLineageUnit) {
 // evicts a base together with its log issue no Get of a dlog/ key or of an
 // orphan.
 TEST(DeltaLog, MaintenanceNeverDownloadsLogsOrOrphansToSizeThem) {
-  auto recording = std::make_shared<GetCountingStore>(std::make_shared<storage::InMemoryStore>());
+  auto recording = std::make_shared<GetRecordingStore>(std::make_shared<storage::InMemoryStore>());
   dlrm::DlrmModel live = StreamTrace(*recording, recording, 4, Quant(quant::Method::kNone));
   const std::string orphan = storage::Manifest::ChunkKey(kJob, 9, 0, 0, 0);
   recording->Put(orphan, {1, 2, 3});

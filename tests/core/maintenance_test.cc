@@ -84,13 +84,11 @@ ServiceConfig SmallService() {
   return cfg;
 }
 
-// Store decorator counting List calls: the probe for "how many times did
-// maintenance re-survey the tier" (the eviction survey sits on a store
-// worker's critical path and must be cached between quota trips) — and
-// recording their prefixes, the probe for "whose keys did a GC look at".
-class ListCountingStore : public storage::ObjectStore {
+// Store decorator recording the prefixes it Lists: the probe for "whose
+// keys did a GC look at".
+class ListRecordingStore : public storage::ObjectStore {
  public:
-  explicit ListCountingStore(std::shared_ptr<storage::ObjectStore> inner)
+  explicit ListRecordingStore(std::shared_ptr<storage::ObjectStore> inner)
       : inner_(std::move(inner)) {}
 
   void Put(const std::string& key, std::vector<std::uint8_t> data) override {
@@ -102,7 +100,6 @@ class ListCountingStore : public storage::ObjectStore {
   bool Exists(const std::string& key) override { return inner_->Exists(key); }
   bool Delete(const std::string& key) override { return inner_->Delete(key); }
   std::vector<std::string> List(const std::string& prefix) override {
-    list_calls_.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard lock(mu_);
       prefixes_.push_back(prefix);
@@ -115,7 +112,6 @@ class ListCountingStore : public storage::ObjectStore {
     return inner_->SizeOf(key);
   }
 
-  std::uint64_t list_calls() const { return list_calls_.load(std::memory_order_relaxed); }
   // Prefixes Listed since the last call.
   std::vector<std::string> TakeListed() {
     std::lock_guard lock(mu_);
@@ -124,7 +120,6 @@ class ListCountingStore : public storage::ObjectStore {
 
  private:
   std::shared_ptr<storage::ObjectStore> inner_;
-  std::atomic<std::uint64_t> list_calls_{0};
   std::mutex mu_;
   std::vector<std::string> prefixes_;
 };
@@ -293,6 +288,28 @@ TEST(Maintenance, EvictionOrderIsPriorityThenStaleness) {
   EXPECT_EQ(service.stats().jobs.at("high").evicted_checkpoints, 2u);
 }
 
+// Eviction orders what is stored now: a job another service wrote on the
+// same tier, which this service never opened, has priority 0 and goes first.
+TEST(Maintenance, EvictionFollowsPriorityAfterAnotherWriter) {
+  auto store = std::make_shared<storage::InMemoryStore>();
+  CheckpointService service(store, SmallService());
+  PopulateJob(service, "a", /*fulls=*/3, /*priority=*/1);  // stale: a/1, a/2
+  auto& maintenance = service.maintenance();
+  EXPECT_GT(maintenance.EvictForQuota(1, "test"), 0u);
+  EXPECT_FALSE(store->Exists(storage::Manifest::ManifestKey("a", 1)));
+
+  {
+    CheckpointService other(store, SmallService());
+    PopulateJob(other, "x", /*fulls=*/3);  // stale: x/1, x/2
+  }
+
+  EXPECT_GT(maintenance.EvictForQuota(1, "test"), 0u);
+  EXPECT_FALSE(store->Exists(storage::Manifest::ManifestKey("x", 1)))
+      << "x is unknown to this service (priority 0), so it is evicted first";
+  EXPECT_TRUE(store->Exists(storage::Manifest::ManifestKey("a", 2)));
+  EXPECT_TRUE(store->Exists(storage::Manifest::ManifestKey("x", 2)));
+}
+
 TEST(Maintenance, QuotaPressureEvictsStaleLineagesInsteadOfFailingTheSubmit) {
   auto store = std::make_shared<storage::InMemoryStore>();
   std::uint64_t one_full = 0;
@@ -452,6 +469,17 @@ TEST(Maintenance, ParallelScrubMatchesSerialVerdicts) {
   EXPECT_EQ(parallel.bytes_checked, serial.bytes_checked);
 }
 
+// Scheduled scrubs run as a stage on the caller's executor; a manager given
+// a clock but no executor has nowhere to run them.
+TEST(Maintenance, ClockWithoutExecutorThrows) {
+  auto store = std::make_shared<storage::InMemoryStore>();
+  auto accounting = std::make_shared<storage::AccountingStore>(store, 0);
+  util::SimClock clock;
+  MaintenanceConfig cfg;
+  cfg.clock = &clock;
+  EXPECT_THROW(MaintenanceManager(accounting, store, cfg), std::invalid_argument);
+}
+
 TEST(Maintenance, SimClockScheduleFiresBackgroundScrubs) {
   auto store = std::make_shared<storage::InMemoryStore>();
   util::SimClock clock;
@@ -499,51 +527,6 @@ TEST(Maintenance, SimClockScheduleFiresBackgroundScrubs) {
   const auto report = service.maintenance().ScrubJobNow("scheduled");
   EXPECT_FALSE(report.clean());
   EXPECT_EQ(handle->stats().scrubs_run, 4u);
-}
-
-// --------------------------------------------------------- eviction cache ---
-
-TEST(Maintenance, EvictionSurveyIsCachedBetweenQuotaTrips) {
-  auto store =
-      std::make_shared<ListCountingStore>(std::make_shared<storage::InMemoryStore>());
-  CheckpointService service(store, SmallService());
-  PopulateJob(service, "a", /*fulls=*/3);  // stale: a/1, a/2
-  PopulateJob(service, "b", /*fulls=*/3);  // stale: b/1, b/2
-  auto& maintenance = service.maintenance();
-
-  // First quota trip surveys the tier (ListStoreJobs + one List per job)
-  // and evicts the first candidate.
-  const auto lists0 = store->list_calls();
-  EXPECT_GT(maintenance.EvictForQuota(1, "t"), 0u);
-  const auto lists1 = store->list_calls();
-  EXPECT_GT(lists1 - lists0, 1u) << "first trip must survey";
-  EXPECT_FALSE(store->Exists(storage::Manifest::ManifestKey("a", 1)));
-
-  // A burst: the second trip consumes the cached survey. The only List it
-  // may issue is the evicted checkpoint's own prefix enumeration (the
-  // delete) — never a re-survey of the tier.
-  EXPECT_GT(maintenance.EvictForQuota(1, "t"), 0u);
-  const auto lists2 = store->list_calls();
-  EXPECT_EQ(lists2 - lists1, 1u) << "burst trips must not re-List the tier";
-  EXPECT_FALSE(store->Exists(storage::Manifest::ManifestKey("a", 2)));
-
-  // Explicit invalidation (what a commit or GC triggers) forces a re-survey.
-  maintenance.NoteStoreMutation();
-  EXPECT_GT(maintenance.EvictForQuota(1, "t"), 0u);
-  const auto lists3 = store->list_calls();
-  EXPECT_GT(lists3 - lists2, 1u) << "a store mutation must invalidate the cache";
-  EXPECT_FALSE(store->Exists(storage::Manifest::ManifestKey("b", 1)));
-
-  // And the service wires it: a commit on the live path invalidates too.
-  {
-    auto handle = service.OpenJob(RawJob("c"));
-    handle->SubmitRaw(MakeRequest("c", 1)).get();
-    handle->Drain();
-  }
-  EXPECT_GT(maintenance.EvictForQuota(1, "t"), 0u);
-  const auto lists4 = store->list_calls();
-  EXPECT_GT(lists4 - lists3, 1u) << "a commit must invalidate the cache";
-  EXPECT_FALSE(store->Exists(storage::Manifest::ManifestKey("b", 2)));
 }
 
 // ---------------------------------------------------- coordinated cuts ------
@@ -789,7 +772,7 @@ TEST(Maintenance, GcNeverDeletesTheLastRestorableLineage) {
 // job's prefix.
 TEST(Maintenance, CutGcLeavesOtherJobsAlone) {
   auto store =
-      std::make_shared<ListCountingStore>(std::make_shared<storage::InMemoryStore>());
+      std::make_shared<ListRecordingStore>(std::make_shared<storage::InMemoryStore>());
   CheckpointService service(store, SmallService());
   PopulateJob(service, "neighbour", /*fulls=*/3);
 

@@ -53,6 +53,37 @@ TEST(Policy, IdsMustIncrease) {
   EXPECT_THROW(policy.Plan(2, MakeDirty({})), std::invalid_argument);
 }
 
+// A malformed dirty set throws before the policy changes any state: the
+// next well-formed plan equals that of a policy that never saw the bad call.
+TEST(Policy, MalformedDirtySetThrowsAndChangesNothing) {
+  for (const auto kind : {PolicyKind::kOneShot, PolicyKind::kIntermittent}) {
+    IncrementalPolicy policy(kind, 100);
+    IncrementalPolicy reference(kind, 100);
+    for (IncrementalPolicy* p : {&policy, &reference}) {
+      (void)p->Plan(1, MakeDirty({}));
+      (void)p->Plan(2, MakeDirty({5}));
+    }
+
+    EXPECT_THROW(policy.Plan(3, DirtySets{}), std::invalid_argument) << PolicyName(kind);
+    DirtySets wrong_size(1);
+    wrong_size[0].emplace_back(99);
+    EXPECT_THROW(policy.Plan(3, std::move(wrong_size)), std::invalid_argument)
+        << PolicyName(kind);
+    DirtySets wrong_split(2);  // 100 rows, but over two tables
+    wrong_split[0].emplace_back(50);
+    wrong_split[1].emplace_back(50);
+    EXPECT_THROW(policy.Plan(3, std::move(wrong_split)), std::invalid_argument)
+        << PolicyName(kind);
+
+    const auto plan = policy.Plan(3, MakeDirty({7}));
+    const auto expected = reference.Plan(3, MakeDirty({7}));
+    EXPECT_EQ(plan.kind, expected.kind) << PolicyName(kind);
+    EXPECT_EQ(plan.parent_id, expected.parent_id) << PolicyName(kind);
+    EXPECT_EQ(plan.rows, expected.rows) << PolicyName(kind);
+    EXPECT_EQ(policy.history(), reference.history()) << PolicyName(kind);
+  }
+}
+
 TEST(Policy, ZeroRowsThrows) {
   EXPECT_THROW(IncrementalPolicy(PolicyKind::kOneShot, 0), std::invalid_argument);
 }

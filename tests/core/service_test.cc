@@ -435,6 +435,26 @@ TEST(CheckpointService, LineageRuleIsPerJob) {
   EXPECT_EQ(healthy->stats().committed, 1u);
 }
 
+// An incremental whose rows do not match its snapshot fails its own future
+// with std::invalid_argument, and the service keeps serving.
+TEST(CheckpointService, MalformedIncrementalPlanFailsItsFuture) {
+  auto store = std::make_shared<storage::InMemoryStore>();
+  CheckpointService service(store, SmallService());
+  auto handle = service.OpenJob(RawJob("shape"));
+  ASSERT_NO_THROW(handle->SubmitRaw(MakeRequest("shape", 1)).get());
+
+  CheckpointRequest bad = MakeRequest("shape", 2);
+  bad.plan.kind = storage::CheckpointKind::kIncremental;
+  bad.plan.parent_id = 1;
+  bad.plan.rows = {};
+  EXPECT_THROW(handle->SubmitRaw(std::move(bad)).get(), std::invalid_argument);
+  EXPECT_FALSE(store->Exists(storage::Manifest::ManifestKey("shape", 2)));
+
+  ASSERT_NO_THROW(handle->SubmitRaw(MakeRequest("shape", 3)).get());
+  ExpectManifestComplete(*store, "shape", 3);
+  EXPECT_EQ(handle->stats().failed, 1u);
+}
+
 // ------------------------------------------------------- stats & accounting --
 
 TEST(CheckpointService, StatsTrackPerJobOccupancy) {

@@ -6,7 +6,7 @@
 #include <memory>
 
 #include "storage/fault_injection.h"
-#include "storage/rate_limited_store.h"
+#include "storage/latency_store.h"
 #include "util/sim_clock.h"
 
 namespace cnr::storage {
@@ -127,20 +127,23 @@ TEST(RetryingStore, MetadataOpsPassThrough) {
   EXPECT_FALSE(store.Exists("a/1"));
 }
 
-TEST(RetryingStore, ComposesWithFaultInjectionAndRateLimit) {
-  // The decorator chain the system runs with: retry over a rate-limited
-  // link over a flaky tier.
+TEST(RetryingStore, ComposesWithFaultInjectionAndLatency) {
+  // The decorator chain the system runs with: retry over a modeled link
+  // over a flaky tier.
   FaultConfig fc;
   fc.put_failure_probability = 0.5;
   fc.seed = 3;
   auto flaky =
       std::make_shared<FaultInjectionStore>(std::make_shared<InMemoryStore>(), fc);
-  auto limited = std::make_shared<RateLimitedStore>(flaky, LinkConfig{});
-  RetryingStore store(limited, Attempts(64));
+  auto link = std::make_shared<LatencyInjectedStore>(
+      flaky, LatencyModel{std::chrono::microseconds(0), std::chrono::microseconds(10),
+                          0, 100u << 20});
+  RetryingStore store(link, Attempts(64));
   for (int i = 0; i < 20; ++i) {
     store.Put("k" + std::to_string(i), Bytes("v"));
   }
   EXPECT_GT(flaky->injected_put_failures(), 0u);
+  EXPECT_GE(link->delayed_puts(), 20u) << "every attempt crosses the modeled link";
   for (int i = 0; i < 20; ++i) {
     EXPECT_TRUE(store.Exists("k" + std::to_string(i)));
   }

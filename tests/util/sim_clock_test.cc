@@ -64,26 +64,5 @@ TEST(SimClock, SubscribersWakeOnEveryAdvance) {
   clock.Unsubscribe(idb);
 }
 
-TEST(ThroughputModel, SamplesToTime) {
-  ThroughputModel model(500000.0);  // paper's 500K QPS
-  EXPECT_EQ(model.TimeForSamples(500000), kSecond);
-  EXPECT_EQ(model.TimeForSamples(0), 0);
-  // 30 minutes of training at 500K QPS = 900M samples.
-  EXPECT_EQ(model.SamplesForTime(30 * kMinute), 900000000ull);
-}
-
-TEST(ThroughputModel, RoundTripApprox) {
-  ThroughputModel model(12345.0);
-  const std::uint64_t samples = 999999;
-  const auto t = model.TimeForSamples(samples);
-  EXPECT_NEAR(static_cast<double>(model.SamplesForTime(t)), static_cast<double>(samples),
-              2.0);
-}
-
-TEST(ThroughputModel, RejectsBadQps) {
-  EXPECT_THROW(ThroughputModel(0.0), std::invalid_argument);
-  EXPECT_THROW(ThroughputModel(-5.0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace cnr::util
