@@ -51,7 +51,7 @@ std::uint64_t WriteSnapshot(storage::ObjectStore& store, const dlrm::DlrmModel& 
   rs.next_batch_id = id;
   rs.next_sample = id * 64;
   const auto result =
-      core::WriteCheckpoint(store, snap, plan, PlainWriter(), id, rs.Encode(), nullptr);
+      core::WriteCheckpoint(store, snap, plan, PlainWriter(), id, rs.Encode());
   return result.bytes_written;
 }
 

@@ -27,7 +27,7 @@ double QuantizeLatencySeconds(const core::ModelSnapshot& snap, const quant::Quan
   wcfg.job = "lat";
   wcfg.chunk_rows = 1024;
   wcfg.quant = qc;
-  const auto result = core::WriteCheckpoint(store, snap, plan, wcfg, 1, {}, nullptr);
+  const auto result = core::WriteCheckpoint(store, snap, plan, wcfg, 1, {});
   return static_cast<double>(result.timings.encode_us) / 1e6;
 }
 

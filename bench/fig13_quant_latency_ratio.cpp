@@ -26,7 +26,7 @@ double QuantizeLatencySeconds(const core::ModelSnapshot& snap, int bins, double 
   wcfg.quant.bits = 4;
   wcfg.quant.num_bins = bins;
   wcfg.quant.ratio = ratio;
-  const auto result = core::WriteCheckpoint(store, snap, plan, wcfg, 1, {}, nullptr);
+  const auto result = core::WriteCheckpoint(store, snap, plan, wcfg, 1, {});
   return static_cast<double>(result.timings.encode_us) / 1e6;
 }
 

@@ -29,9 +29,8 @@ dlrm::DlrmModel& SharedModel() {
 
 void BM_SnapshotStall(benchmark::State& state) {
   auto& model = SharedModel();
-  util::ThreadPool pool(4);
   for (auto _ : state) {
-    auto snap = core::CreateSnapshot(model, 0, 0, &pool);
+    auto snap = core::CreateSnapshot(model, 0, 0);
     benchmark::DoNotOptimize(snap.StateBytes());
   }
   state.counters["state_MB"] =

@@ -56,7 +56,6 @@ int main() {
   wcfg.quant.method = quant::Method::kAsymmetric;
   wcfg.quant.bits = 4;
 
-  util::ThreadPool pool(4);
   for (std::uint64_t id = 1; id <= 4; ++id) {
     for (int b = 0; b < 6; ++b) {
       const auto g = (id - 1) * 6 + b;
@@ -71,8 +70,8 @@ int main() {
       plan.parent_id = id - 1;
       plan.rows = tracker.HarvestInterval();
     }
-    const core::ModelSnapshot snap = core::CreateSnapshot(model, id * 6, id * 6 * 64, &pool);
-    core::WriteCheckpoint(*inner, snap, plan, wcfg, id, data::ReaderState{}.Encode(), &pool);
+    const core::ModelSnapshot snap = core::CreateSnapshot(model, id * 6, id * 6 * 64);
+    core::WriteCheckpoint(*inner, snap, plan, wcfg, id, data::ReaderState{}.Encode());
   }
 
   std::size_t total_chunks = 0;

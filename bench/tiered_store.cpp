@@ -86,7 +86,7 @@ std::uint64_t WriteFull(storage::ObjectStore& store, const dlrm::DlrmModel& mode
   core::CheckpointPlan plan;
   plan.kind = storage::CheckpointKind::kFull;
   const auto result =
-      core::WriteCheckpoint(store, snap, plan, PlainWriter(), id, rs.Encode(), nullptr);
+      core::WriteCheckpoint(store, snap, plan, PlainWriter(), id, rs.Encode());
   return result.bytes_written;
 }
 

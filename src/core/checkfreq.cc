@@ -14,8 +14,7 @@ CheckFreqBaseline::CheckFreqBaseline(dlrm::DlrmModel& model, data::ReaderMaster&
     : model_(model),
       reader_(reader),
       store_(std::move(store)),
-      cfg_(std::move(config)),
-      pool_(cfg_.pipeline_threads) {
+      cfg_(std::move(config)) {
   if (!store_) throw std::invalid_argument("CheckFreqBaseline: null store");
   if (cfg_.overhead_budget <= 0.0 || cfg_.overhead_budget >= 1.0) {
     throw std::invalid_argument("CheckFreqBaseline: budget in (0,1)");
@@ -43,7 +42,7 @@ std::uint64_t CheckFreqBaseline::Tune() {
       static_cast<double>(train_us) / static_cast<double>(std::max<std::uint64_t>(1, profiled));
 
   // Phase 2: profile the snapshot stall (CheckFreq's checkpoint cost probe).
-  const auto snap = CreateSnapshot(model_, batches_trained_, samples_trained_, &pool_);
+  const auto snap = CreateSnapshot(model_, batches_trained_, samples_trained_);
   const double stall_us = static_cast<double>(std::max<std::int64_t>(
       snap.stall_wall.count(), 1));
 
@@ -79,13 +78,12 @@ std::vector<CheckFreqStats> CheckFreqBaseline::Run(std::size_t checkpoints) {
         std::chrono::steady_clock::now() - t0);
 
     const data::ReaderState reader_state = reader_.CollectState();
-    ModelSnapshot snap = CreateSnapshot(model_, batches_trained_, samples_trained_, &pool_);
+    ModelSnapshot snap = CreateSnapshot(model_, batches_trained_, samples_trained_);
 
     CheckpointPlan plan;
     plan.kind = storage::CheckpointKind::kFull;
     const std::uint64_t id = next_checkpoint_id_++;
-    const auto result =
-        WriteCheckpoint(*store_, snap, plan, wcfg, id, reader_state.Encode(), &pool_);
+    const auto result = WriteCheckpoint(*store_, snap, plan, wcfg, id, reader_state.Encode());
     if (cfg_.gc) {
       // CheckFreq keeps only the newest full: the same per-job GC kernel the
       // service runs after each commit, refusing on a broken newest lineage.

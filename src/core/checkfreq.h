@@ -23,7 +23,6 @@
 #include "data/reader.h"
 #include "dlrm/model.h"
 #include "storage/object_store.h"
-#include "util/threadpool.h"
 
 namespace cnr::core {
 
@@ -39,7 +38,6 @@ struct CheckFreqConfig {
   std::uint64_t max_interval_batches = 100000;
 
   std::size_t chunk_rows = 1024;
-  std::size_t pipeline_threads = 4;
   bool gc = true;
 };
 
@@ -73,7 +71,6 @@ class CheckFreqBaseline {
   data::ReaderMaster& reader_;
   std::shared_ptr<storage::ObjectStore> store_;
   CheckFreqConfig cfg_;
-  util::ThreadPool pool_;
 
   std::uint64_t interval_batches_ = 0;
   std::uint64_t batches_trained_ = 0;

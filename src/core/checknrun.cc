@@ -37,8 +37,7 @@ CheckNRun::CheckNRun(dlrm::DlrmModel& model, data::ReaderMaster& reader,
                      std::shared_ptr<storage::ObjectStore> store, CheckNRunConfig config)
     : model_(model),
       reader_(reader),
-      cfg_(std::move(config)),
-      pool_(cfg_.pipeline_threads) {
+      cfg_(std::move(config)) {
   if (!store) throw std::invalid_argument("CheckNRun: null store");
   if (cfg_.interval_batches == 0) throw std::invalid_argument("CheckNRun: empty interval");
   if (cfg_.max_inflight_checkpoints == 0) {
@@ -46,8 +45,8 @@ CheckNRun::CheckNRun(dlrm::DlrmModel& model, data::ReaderMaster& reader,
   }
 
   ServiceConfig svc;
-  svc.encode_threads = cfg_.encode_threads ? cfg_.encode_threads : cfg_.pipeline_threads;
-  svc.store_threads = cfg_.store_threads ? cfg_.store_threads : cfg_.pipeline_threads;
+  svc.encode_threads = cfg_.pipeline_threads;
+  svc.store_threads = cfg_.pipeline_threads;
   svc.queue_capacity = cfg_.queue_capacity;
   svc.max_inflight_checkpoints = cfg_.max_inflight_checkpoints;
   svc.release_slot_on_stored = cfg_.release_slot_on_stored;
@@ -62,7 +61,6 @@ CheckNRun::CheckNRun(dlrm::DlrmModel& model, data::ReaderMaster& reader,
     : model_(model),
       reader_(reader),
       cfg_(std::move(config)),
-      pool_(cfg_.pipeline_threads),
       service_(&service) {
   if (cfg_.interval_batches == 0) throw std::invalid_argument("CheckNRun: empty interval");
   if (cfg_.max_inflight_checkpoints == 0) {
@@ -165,7 +163,7 @@ void CheckNRun::Step() {
   submission.snapshot_fn = [this] {
     // Stall training only for the in-memory snapshot (§4.2); runs on this
     // (trainer) thread once the service admits the checkpoint.
-    return CreateSnapshot(model_, batches_trained_, samples_trained_, &pool_);
+    return CreateSnapshot(model_, batches_trained_, samples_trained_);
   };
 
   SubmittedCheckpoint submitted = handle_->Submit(std::move(submission));

@@ -45,7 +45,6 @@
 #include "dlrm/metrics.h"
 #include "dlrm/model.h"
 #include "storage/object_store.h"
-#include "util/threadpool.h"
 
 namespace cnr::core {
 
@@ -67,12 +66,11 @@ struct CheckNRunConfig {
   quant::QuantConfig quant;
 
   std::size_t chunk_rows = 512;
-  // Parallelism of the snapshot copy, and the default for the service's
-  // encode/store stages when the per-stage knobs below are 0 (private
-  // service only; a shared service has its own thread configuration).
+  // Starting worker allotments of the private service's encode and store
+  // stages (ServiceConfig::encode_threads/store_threads). Ignored with a
+  // shared service, which has its own configuration. The snapshot copy
+  // always runs on the trainer thread.
   std::size_t pipeline_threads = 4;
-  std::size_t encode_threads = 0;  // 0 = pipeline_threads
-  std::size_t store_threads = 0;   // 0 = pipeline_threads
   // Capacity (in chunks) of the job's encoded-chunk budget; the bound is
   // what propagates store backpressure to the encoders.
   std::size_t queue_capacity = 16;
@@ -198,7 +196,6 @@ class CheckNRun {
   data::ReaderMaster& reader_;
   CheckNRunConfig cfg_;
 
-  util::ThreadPool pool_;  // snapshot-copy concurrency
   dlrm::MetricTracker metrics_;
 
   std::uint64_t batches_trained_ = 0;

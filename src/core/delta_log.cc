@@ -836,20 +836,8 @@ std::vector<std::uint64_t> ListDeltaLogBases(storage::ObjectStore& store,
   const std::string root = Manifest::DeltaLogRoot(job);
   std::vector<std::uint64_t> bases;
   for (const auto& key : store.List(root)) {
-    const auto slash = key.find('/', root.size());
-    if (slash == std::string::npos) continue;
-    const std::string digits = key.substr(root.size(), slash - root.size());
-    if (digits.empty()) continue;
-    std::uint64_t base = 0;
-    bool ok = true;
-    for (const char c : digits) {
-      if (c < '0' || c > '9') {
-        ok = false;
-        break;
-      }
-      base = base * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    if (ok) bases.push_back(base);
+    const auto base = Manifest::ParseId(key, root);
+    if (base && key.starts_with(Manifest::DeltaLogPrefix(job, *base))) bases.push_back(*base);
   }
   std::sort(bases.begin(), bases.end());
   bases.erase(std::unique(bases.begin(), bases.end()), bases.end());

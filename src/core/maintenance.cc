@@ -74,21 +74,6 @@ std::set<std::uint64_t> CutLiveSet(const JobSurvey& survey) {
   return live;
 }
 
-// Base checkpoint id of a delta-log object key (jobs/<job>/dlog/<base>/...),
-// or nullopt for keys that do not follow the v4 convention.
-std::optional<std::uint64_t> DeltaLogBaseOf(const std::string& key, const std::string& root) {
-  if (!key.starts_with(root)) return std::nullopt;
-  const auto slash = key.find('/', root.size());
-  if (slash == std::string::npos || slash == root.size()) return std::nullopt;
-  std::uint64_t base = 0;
-  for (std::size_t i = root.size(); i < slash; ++i) {
-    const char c = key[i];
-    if (c < '0' || c > '9') return std::nullopt;
-    base = base * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return base;
-}
-
 }  // namespace
 
 JobSurvey SurveyJob(storage::ObjectStore& store, const std::string& job,
@@ -171,9 +156,10 @@ JobSurvey SurveyJob(storage::ObjectStore& store, const std::string& job,
   // manifested lineage, so they are measured (a stat, never a download)
   // even when measure_orphans = false.
   for (const auto& key : keys) {
-    const auto base = DeltaLogBaseOf(key, dlog_root);
-    if (!base) continue;
-    if (!IsManifested(survey, *base)) continue;
+    const auto base = storage::Manifest::ParseId(key, dlog_root);
+    if (!base || !IsManifested(survey, *base)) continue;
+    // Only keys under DeltaLogPrefix(job, base): the ones DeleteUnit removes.
+    if (!key.starts_with(storage::Manifest::DeltaLogPrefix(job, *base))) continue;
     const auto size = store.SizeOf(key);
     if (!size) continue;  // raced a concurrent truncation or compaction
     referenced.insert(key);

@@ -8,7 +8,7 @@
 // task into its stored byte representation; DecodeChunkBlob reverses it
 // (CRC verify + parse + de-quantize) without touching a model. All are
 // side-effect-free so the staged pipelines (core/service.h, restore.h) and the
-// synchronous facades (writer.h, recovery.h) share them, and so they
+// serial references (writer.h, recovery.h) share them, and so they
 // unit-test without any threads or stores.
 //
 // Chunk layout (binary, little-endian):

@@ -4,8 +4,8 @@
 // and the manifest have been stored (paper §4.4 step 3): *a checkpoint is
 // valid iff its manifest object exists*. Recovery (core/recovery.h) relies on
 // exactly this — it enumerates MANIFEST keys and never considers anything
-// else. Every write path (the staged pipeline's CommitStage and the
-// synchronous WriteCheckpoint facade) must publish through CommitCheckpoint
+// else. Every write path (the staged pipeline's CommitStage and the serial
+// reference writer WriteCheckpoint) must publish through CommitCheckpoint
 // so the ordering cannot be broken in one code path and kept in another.
 #pragma once
 

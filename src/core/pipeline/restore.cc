@@ -424,18 +424,6 @@ ChunkVerdict ScrubDenseBlob(const std::optional<std::vector<std::uint8_t>>& blob
   return v;
 }
 
-// Checkpoint-level cross-check: the sum of decodable rows must equal what
-// the manifest claims for the checkpoint as a whole.
-void CheckCheckpointRows(const std::string& job, const storage::Manifest& m,
-                         std::uint64_t decoded_rows, std::uint64_t manifest_rows,
-                         std::vector<ScrubIssue>& issues) {
-  if (decoded_rows == manifest_rows) return;
-  issues.push_back({storage::Manifest::ManifestKey(job, m.checkpoint_id),
-                    "checkpoint " + std::to_string(m.checkpoint_id) + " decodes to " +
-                        std::to_string(decoded_rows) + " rows, manifest claims " +
-                        std::to_string(manifest_rows)});
-}
-
 // Issues are appended in whatever order workers finish; canonical (key,
 // message) order makes serial and parallel reports compare equal with ==.
 void CanonicalizeIssues(ScrubReport& report) {
@@ -459,20 +447,15 @@ ScrubReport ScrubChain(storage::ObjectStore& store, const std::string& job, std:
 
   for (const auto& m : manifests) {
     report.chain.push_back(m.checkpoint_id);
-    std::uint64_t manifest_rows = 0;  // what the manifest claims
-    std::uint64_t decoded_rows = 0;   // what the chunks actually hold
     for (const auto& c : m.chunks) {
       ++report.chunks_checked;
-      manifest_rows += c.num_rows;
       std::optional<std::vector<std::uint8_t>> blob;
       if (!TryScrubGet(store, c.key, blob, report.issues)) continue;
       const ChunkVerdict v = ScrubOneChunk(blob, m.quant, c);
-      decoded_rows += v.decoded_rows;
       report.rows_checked += v.decoded_rows;
       report.bytes_checked += v.bytes;
       report.issues.insert(report.issues.end(), v.issues.begin(), v.issues.end());
     }
-    CheckCheckpointRows(job, m, decoded_rows, manifest_rows, report.issues);
     if (!m.dense_key.empty()) {
       std::optional<std::vector<std::uint8_t>> dense;
       if (TryScrubGet(store, m.dense_key, dense, report.issues)) {
@@ -535,20 +518,17 @@ ScrubReport ScrubChainParallel(storage::ObjectStore& store, const std::string& j
   StageLane<ScrubFetchJob> fetch_lane;
   StageLane<ScrubDecodeJob> decode_lane;
 
-  // Workers merge verdicts under one mutex; per-position row tallies feed the
-  // checkpoint-level row cross-check after the stages close. `settled` also
-  // drives the feeder's in-flight window: one count per issued fetch job,
-  // landed once its verdict (or dense size check) merged.
+  // Workers merge verdicts under one mutex. `settled` drives the feeder's
+  // in-flight window: one count per issued fetch job, landed once its
+  // verdict (or dense size check) merged.
   util::Mutex report_mu;
-  std::vector<std::uint64_t> decoded_rows(n_pos, 0);
   std::atomic<std::size_t> issued{0}, settled{0};
-  const auto merge_chunk = [&](std::size_t pos, const ChunkVerdict& v) {
+  const auto merge_chunk = [&](const ChunkVerdict& v) {
     {
       util::MutexLock lock(report_mu);
       ++report.chunks_checked;
       report.rows_checked += v.decoded_rows;
       report.bytes_checked += v.bytes;
-      decoded_rows[pos] += v.decoded_rows;
       report.issues.insert(report.issues.end(), v.issues.begin(), v.issues.end());
     }
     settled.fetch_add(1, std::memory_order_release);
@@ -565,7 +545,7 @@ ScrubReport ScrubChainParallel(storage::ObjectStore& store, const std::string& j
         const storage::Manifest& m = manifests[item->pos];
         const storage::ChunkInfo& info = m.chunks[item->chunk];
         const std::optional<std::vector<std::uint8_t>> blob = std::move(item->blob);
-        merge_chunk(item->pos, ScrubOneChunk(blob, m.quant, info));
+        merge_chunk(ScrubOneChunk(blob, m.quant, info));
         return true;
       });
 
@@ -604,7 +584,7 @@ ScrubReport ScrubChainParallel(storage::ObjectStore& store, const std::string& j
           return true;
         }
         if (!blob) {
-          merge_chunk(item->pos, ScrubOneChunk(blob, m.quant, info));
+          merge_chunk(ScrubOneChunk(blob, m.quant, info));
           return true;
         }
         decode_lane.Push(ScrubDecodeJob{item->pos, item->chunk, std::move(*blob)});
@@ -636,12 +616,6 @@ ScrubReport ScrubChainParallel(storage::ObjectStore& store, const std::string& j
     if (!manifests[p].dense_key.empty()) push_gated(ScrubFetchJob{p, kDenseChunk});
   }
   exec->CloseStages({ids.fetch, ids.decode});
-
-  for (std::size_t p = 0; p < n_pos; ++p) {
-    std::uint64_t manifest_rows = 0;
-    for (const auto& c : manifests[p].chunks) manifest_rows += c.num_rows;
-    CheckCheckpointRows(job, manifests[p], decoded_rows[p], manifest_rows, report.issues);
-  }
   CanonicalizeIssues(report);
   return report;
 }

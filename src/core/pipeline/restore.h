@@ -103,10 +103,8 @@ struct RestoreConfig {
   // Stage fan-out. 0 (default) = auto: the initial allotment is sized from
   // the chain's chunk count (pipeline::AutoFanOut) and, when auto-tuning is
   // on, the executor's controller re-sizes it from the observed fetch/decode
-  // stage walls during the run. An explicit count pins the stage static —
-  // the same `0 = derive, nonzero = pin` precedence as CheckNRunConfig's
-  // encode/store knobs (0 = pipeline_threads). ScrubConfig follows the same
-  // convention; docs/TUNING.md documents both.
+  // stage walls during the run. An explicit count pins the stage static.
+  // ScrubConfig follows the same convention; docs/TUNING.md documents both.
   std::size_t fetch_threads = 0;
   std::size_t decode_threads = 0;
   // In-flight chunk window: how many issued-but-unapplied chunk payloads the
@@ -208,7 +206,8 @@ struct ScrubConfig {
 // recovery chain and cross-checks every chunk's CRC (via the decode kernel),
 // its decoded row count and stored size against the manifest, and the dense
 // blob's presence and size — without applying a single row. Collects every
-// defect instead of throwing, so one rotten chunk does not hide the next;
+// defect instead of throwing, so one rotten chunk does not hide the next,
+// and reports each defect once, keyed to the object that has it;
 // run it periodically to detect bit rot *before* a real failure needs the
 // chain (see `cnr_inspect <dir> <job> scrub` and docs/OPERATIONS.md).
 // Serial: one chunk at a time on the calling thread.

@@ -82,15 +82,13 @@ void ModelApplier::ApplyDense(std::span<const std::uint8_t> dense_blob) {
 
 std::optional<std::uint64_t> LatestCheckpointId(storage::ObjectStore& store,
                                                 const std::string& job) {
-  const auto keys = store.List(storage::Manifest::JobPrefix(job) + "ckpt/");
+  const std::string prefix = storage::Manifest::JobPrefix(job) + "ckpt/";
   std::optional<std::uint64_t> latest;
-  for (const auto& key : keys) {
-    if (key.size() < 8 || key.substr(key.size() - 8) != "MANIFEST") continue;
-    // Key shape: jobs/<job>/ckpt/<%012llu id>/MANIFEST
-    const auto tail = key.substr(0, key.size() - 9);
-    const auto slash = tail.find_last_of('/');
-    const std::uint64_t id = std::stoull(tail.substr(slash + 1));
-    if (!latest || id > *latest) latest = id;
+  for (const auto& key : store.List(prefix)) {
+    if (!key.ends_with("/MANIFEST")) continue;
+    const auto id = storage::Manifest::ParseId(key, prefix);
+    if (!id || key != storage::Manifest::ManifestKey(job, *id)) continue;  // stray key
+    if (!latest || *id > *latest) latest = id;
   }
   return latest;
 }

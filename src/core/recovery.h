@@ -11,9 +11,10 @@
 //
 // Two restore paths share the same decode kernel (pipeline/chunk_codec.h)
 // and produce bit-identical model state:
-//   - RestoreModel: synchronous facade — fetches, decodes, and applies one
-//     chunk at a time on the calling thread (mirrors writer.h on the write
-//     side). Simple, and what tests and delta-application use.
+//   - RestoreModel: the serial reference reader — fetches, decodes, and
+//     applies one chunk at a time on the calling thread, as writer.h's
+//     WriteCheckpoint is the serial reference writer. Simple, and what
+//     tests, delta application and perfbench's restore oracle use.
 //   - RestoreModelPipelined: the staged Resolve → Fetch → Decode → Apply
 //     pipeline (pipeline/restore.h), overlapping chunk fetches with
 //     de-quantization and in-place apply. This is the recovery-time path;

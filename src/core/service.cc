@@ -136,7 +136,6 @@ struct ServiceImpl {
           std::make_shared<storage::AccountingStore>(stack, cfg.shared_quota_bytes);
       storage::RetryPolicy retry_policy;
       retry_policy.max_attempts = cfg.put_attempts;
-      retry_policy.initial_backoff = cfg.retry_backoff;
       store = std::make_shared<storage::RetryingStore>(accounting, retry_policy);
 
     // The write plane's stages on the shared runtime. One pool serves all of

@@ -70,7 +70,6 @@
 // 1.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -112,8 +111,7 @@ struct JobState;
 // straight to JobHandle::SubmitRaw.
 struct CheckpointRequest {
   std::uint64_t checkpoint_id = 0;
-  // job / chunk_rows / quant / rng_seed are honored; put_attempts is NOT —
-  // retry is the service's RetryingStore decorator's job.
+  // Encoding settings; Put retries come from ServiceConfig::put_attempts.
   WriterConfig writer;
   CheckpointPlan plan;
   std::vector<std::uint8_t> reader_state;
@@ -169,7 +167,6 @@ struct ServiceConfig {
   bool release_slot_on_stored = true;
   // Attempts per Put before a checkpoint is abandoned (RetryingStore depth).
   int put_attempts = 3;
-  std::chrono::microseconds retry_backoff{0};
   // Shared storage quota across all jobs, enforced by the accounting view
   // (storage::QuotaExceeded fails the offending checkpoint unless
   // evict_on_quota frees space first). 0 = unlimited.

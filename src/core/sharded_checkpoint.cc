@@ -37,15 +37,6 @@ struct CutState {
 
 }  // namespace detail
 
-namespace {
-
-std::uint64_t ParseTrailingId(const std::string& key, std::size_t strip) {
-  const auto tail = key.substr(0, key.size() - strip);
-  return std::stoull(tail.substr(tail.find_last_of('/') + 1));
-}
-
-}  // namespace
-
 // ------------------------------------------------------------ ticket --------
 
 CutTicket::CutTicket(std::unique_ptr<detail::CutState> state) : state_(std::move(state)) {}
@@ -297,12 +288,13 @@ CutResult ShardedJobHandle::WriteCut(std::uint64_t batches_trained,
 
 std::optional<std::uint64_t> LatestCutEpoch(storage::ObjectStore& store,
                                             const std::string& job) {
-  const auto keys = store.List(storage::Manifest::JobPrefix(job) + "cut/");
+  const std::string prefix = storage::Manifest::JobPrefix(job) + "cut/";
   std::optional<std::uint64_t> latest;
-  for (const auto& key : keys) {
+  for (const auto& key : store.List(prefix)) {
     if (!key.ends_with("/COORD")) continue;
-    const std::uint64_t epoch = ParseTrailingId(key, 6);  // strip "/COORD"
-    if (!latest || epoch > *latest) latest = epoch;
+    const auto epoch = storage::Manifest::ParseId(key, prefix);
+    if (!epoch || key != storage::Manifest::CutKey(job, *epoch)) continue;  // stray key
+    if (!latest || *epoch > *latest) latest = epoch;
   }
   return latest;
 }

@@ -23,42 +23,25 @@ std::size_t ModelSnapshot::StateBytes() const {
 }
 
 ModelSnapshot CreateSnapshot(const dlrm::DlrmModel& model, std::uint64_t batches_trained,
-                             std::uint64_t samples_trained, util::ThreadPool* pool) {
+                             std::uint64_t samples_trained, std::nullptr_t) {
   const auto start = std::chrono::steady_clock::now();
 
   ModelSnapshot snap;
   snap.batches_trained = batches_trained;
   snap.samples_trained = samples_trained;
   snap.shards.resize(model.num_tables());
-
-  // Flatten the (table, shard) space so the pool can copy all device-local
-  // parts concurrently.
-  struct Item {
-    std::size_t table;
-    std::size_t shard;
-  };
-  std::vector<Item> items;
   for (std::size_t t = 0; t < model.num_tables(); ++t) {
     snap.shards[t].resize(model.table(t).num_shards());
-    for (std::size_t s = 0; s < model.table(t).num_shards(); ++s) items.push_back({t, s});
-  }
-
-  const auto copy_one = [&](std::size_t i) {
-    const auto [t, s] = items[i];
-    const auto& src = model.table(t).Shard(s);
-    ShardSnapshot& dst = snap.shards[t][s];
-    dst.table_id = static_cast<std::uint32_t>(t);
-    dst.shard_id = static_cast<std::uint32_t>(s);
-    dst.num_rows = src.num_rows();
-    dst.dim = src.dim();
-    dst.weights.assign(src.Weights().begin(), src.Weights().end());
-    dst.adagrad.assign(src.AdagradStates().begin(), src.AdagradStates().end());
-  };
-
-  if (pool != nullptr) {
-    pool->ParallelFor(items.size(), copy_one);
-  } else {
-    for (std::size_t i = 0; i < items.size(); ++i) copy_one(i);
+    for (std::size_t s = 0; s < model.table(t).num_shards(); ++s) {
+      const auto& src = model.table(t).Shard(s);
+      ShardSnapshot& dst = snap.shards[t][s];
+      dst.table_id = static_cast<std::uint32_t>(t);
+      dst.shard_id = static_cast<std::uint32_t>(s);
+      dst.num_rows = src.num_rows();
+      dst.dim = src.dim();
+      dst.weights.assign(src.Weights().begin(), src.Weights().end());
+      dst.adagrad.assign(src.AdagradStates().begin(), src.AdagradStates().end());
+    }
   }
 
   util::Writer dense;

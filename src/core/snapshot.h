@@ -8,18 +8,21 @@
 //
 // ModelSnapshot is that host-DRAM copy: per (table, shard) a dense weight
 // buffer plus the row-wise AdaGrad state, the serialized dense (MLP) blob,
-// and the trainer progress counters. All shards are copied concurrently on a
-// thread pool, mirroring all trainer nodes snapshotting their local parts in
-// parallel (which is why snapshot latency does not grow with node count).
+// and the trainer progress counters. In the paper every trainer node copies
+// its own local part in parallel, which is why snapshot latency does not grow
+// with node count. In this one-process reproduction the copy runs on the
+// calling thread, at the memcpy bound: a copy fanned out across threads
+// measured slower on every model shape in the repo (bench_micro_overheads'
+// BM_SnapshotStall times the copy).
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "dlrm/model.h"
-#include "util/threadpool.h"
 
 namespace cnr::core {
 
@@ -47,10 +50,10 @@ struct ModelSnapshot {
   std::size_t StateBytes() const;
 };
 
-// Atomically copies the model state. Must be called while training is paused
-// (the controller enforces the barrier). If `pool` is non-null, shards are
-// copied concurrently.
+// Atomically copies the model state on the calling thread. Must be called
+// while training is paused (the controller enforces the barrier).
+// The unnamed last parameter keeps perfbench/driver.cc's `nullptr` calls compiling.
 ModelSnapshot CreateSnapshot(const dlrm::DlrmModel& model, std::uint64_t batches_trained,
-                             std::uint64_t samples_trained, util::ThreadPool* pool);
+                             std::uint64_t samples_trained, std::nullptr_t = nullptr);
 
 }  // namespace cnr::core

@@ -1,6 +1,5 @@
 #include "core/writer.h"
 
-#include <atomic>
 #include <vector>
 
 #include "core/pipeline/chunk_codec.h"
@@ -12,12 +11,9 @@ namespace cnr::core {
 WriteResult WriteCheckpoint(storage::ObjectStore& store, const ModelSnapshot& snap,
                             const CheckpointPlan& plan, const WriterConfig& cfg,
                             std::uint64_t checkpoint_id,
-                            std::span<const std::uint8_t> reader_state,
-                            util::ThreadPool* pool) {
+                            std::span<const std::uint8_t> reader_state) {
   const auto entry_time = std::chrono::steady_clock::now();
-  storage::RetryPolicy retry_policy;
-  retry_policy.max_attempts = cfg.put_attempts;
-  storage::RetryingStore retrying(store, retry_policy);
+  storage::RetryingStore retrying(store, storage::RetryPolicy{});
 
   const std::vector<pipeline::ChunkTask> tasks =
       pipeline::BuildChunkTasks(snap, plan, cfg.chunk_rows);
@@ -29,41 +25,30 @@ WriteResult WriteCheckpoint(storage::ObjectStore& store, const ModelSnapshot& sn
   result.manifest.timings.snapshot_us =
       static_cast<std::uint64_t>(snap.stall_wall.count());
 
-  std::atomic<std::uint64_t> encode_us{0};
-  std::atomic<std::uint64_t> store_us{0};
-
-  const auto process = [&](std::size_t i) {
+  std::uint64_t encode_us = 0;
+  std::uint64_t store_us = 0;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
     util::Rng rng = pipeline::ChunkRng(cfg.rng_seed, checkpoint_id, i);
     const auto t0 = std::chrono::steady_clock::now();
     auto bytes = pipeline::EncodeChunkTask(tasks[i], cfg.quant, rng);
     const auto t1 = std::chrono::steady_clock::now();
-    encode_us.fetch_add(
-        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count(),
-        std::memory_order_relaxed);
+    encode_us += std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count();
 
     storage::ChunkInfo info =
         pipeline::MakeChunkInfo(tasks[i], cfg.job, checkpoint_id, bytes.size());
-    // Pipelined: the chunk is stored as soon as it is encoded. Transient
-    // storage failures are retried by the decorator; persistent ones abort
-    // the checkpoint (whose manifest then never appears, keeping the
-    // previous one valid).
+    // Each chunk is stored as soon as it is encoded, so one encoded chunk is
+    // held at a time. Transient storage failures are retried by the
+    // decorator; persistent ones abort the checkpoint (whose manifest then
+    // never appears, keeping the previous one valid).
     retrying.Put(info.key, std::move(bytes));
-    store_us.fetch_add(std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::steady_clock::now() - t1)
-                           .count(),
-                       std::memory_order_relaxed);
-    // Chunk slots are disjoint per task, so no lock is needed.
+    store_us += std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::steady_clock::now() - t1)
+                    .count();
     result.manifest.chunks[i] = std::move(info);
-  };
-
-  if (pool != nullptr) {
-    pool->ParallelFor(tasks.size(), process);
-  } else {
-    for (std::size_t i = 0; i < tasks.size(); ++i) process(i);
   }
 
-  result.manifest.timings.encode_us = encode_us.load();
-  result.manifest.timings.store_us = store_us.load();
+  result.manifest.timings.encode_us = encode_us;
+  result.manifest.timings.store_us = store_us;
 
   const auto commit = pipeline::CommitCheckpoint(retrying, cfg.job, result.manifest,
                                                  snap.dense_blob);

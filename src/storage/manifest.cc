@@ -1,6 +1,8 @@
 #include "storage/manifest.h"
 
+#include <charconv>
 #include <stdexcept>
+#include <system_error>
 
 namespace cnr::storage {
 
@@ -174,6 +176,17 @@ std::string Manifest::DeltaCompactKey(const std::string& job, std::uint64_t base
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%012llu", static_cast<unsigned long long>(seq));
   return DeltaLogPrefix(job, base_checkpoint_id) + "compact/" + buf;
+}
+
+std::optional<std::uint64_t> Manifest::ParseId(std::string_view key, std::string_view prefix) {
+  if (!key.starts_with(prefix)) return std::nullopt;
+  const std::string_view rest = key.substr(prefix.size());
+  const std::string_view digits = rest.substr(0, rest.find('/'));
+  const char* const end = digits.data() + digits.size();
+  std::uint64_t id = 0;
+  const auto [stop, ec] = std::from_chars(digits.data(), end, id);
+  if (ec != std::errc{} || stop != end) return std::nullopt;
+  return id;
 }
 
 void DeltaSegmentHeader::Serialize(util::Writer& w) const {

@@ -14,7 +14,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "quant/quantizer.h"
@@ -148,6 +150,14 @@ struct Manifest {
                                      std::uint64_t seq);
   static std::string DeltaCompactKey(const std::string& job, std::uint64_t base_checkpoint_id,
                                      std::uint64_t seq);
+
+  // The id the key functions above put after `prefix`: the decimal digits
+  // right after it, ended by '/' or the end of `key`. nullopt when `key` does
+  // not start with `prefix`, no digit follows it, a non-digit comes before the
+  // '/', or the id overflows 64 bits. A scan over List() results counts a key
+  // only if it equals the key function's output for the parsed id, so stray
+  // objects (jobs/<job>/ckpt/notanid/MANIFEST) are skipped, not fatal.
+  static std::optional<std::uint64_t> ParseId(std::string_view key, std::string_view prefix);
 };
 
 // Header of one delta-log segment object (format v4; docs/MANIFEST_FORMAT.md

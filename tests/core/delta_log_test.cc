@@ -109,7 +109,7 @@ void WriteFullCheckpoint(storage::ObjectStore& store, const dlrm::DlrmModel& mod
   data::ReaderState rs;
   rs.next_batch_id = id;
   rs.next_sample = id * 32;
-  WriteCheckpoint(store, snap, plan, MakeWriter(quant, job), id, rs.Encode(), nullptr);
+  WriteCheckpoint(store, snap, plan, MakeWriter(quant, job), id, rs.Encode());
 }
 
 quant::QuantConfig Quant(quant::Method method, int bits = 4) {

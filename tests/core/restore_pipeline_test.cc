@@ -88,7 +88,7 @@ dlrm::DlrmModel WriteChain(storage::ObjectStore& store, const WriterConfig& base
     }
     const WriterConfig& cfg = per_ckpt_cfg ? (*per_ckpt_cfg)[id - 1] : base_cfg;
     const ModelSnapshot snap = CreateSnapshot(model, id * 3, id * 96, nullptr);
-    WriteCheckpoint(store, snap, plan, cfg, id, SomeReaderState().Encode(), nullptr);
+    WriteCheckpoint(store, snap, plan, cfg, id, SomeReaderState().Encode());
   }
   return model;
 }
@@ -166,7 +166,7 @@ TEST(RestorePipeline, EmptyIncrementalInChain) {
     CheckpointPlan plan;
     plan.kind = storage::CheckpointKind::kFull;
     const ModelSnapshot snap = CreateSnapshot(model, 3, 96, nullptr);
-    WriteCheckpoint(store, snap, plan, PlainWriter(), 1, SomeReaderState().Encode(), nullptr);
+    WriteCheckpoint(store, snap, plan, PlainWriter(), 1, SomeReaderState().Encode());
   }
   {
     // No training in interval 2: empty dirty sets, zero chunks.
@@ -175,7 +175,7 @@ TEST(RestorePipeline, EmptyIncrementalInChain) {
     plan.parent_id = 1;
     plan.rows = tracker.HarvestInterval();
     const ModelSnapshot snap = CreateSnapshot(model, 3, 96, nullptr);
-    WriteCheckpoint(store, snap, plan, PlainWriter(), 2, SomeReaderState().Encode(), nullptr);
+    WriteCheckpoint(store, snap, plan, PlainWriter(), 2, SomeReaderState().Encode());
   }
   {
     for (int b = 3; b < 6; ++b) model.TrainBatch(ds.GetBatch(b, b * 32ull, 32));
@@ -184,7 +184,7 @@ TEST(RestorePipeline, EmptyIncrementalInChain) {
     plan.parent_id = 2;
     plan.rows = tracker.HarvestInterval();
     const ModelSnapshot snap = CreateSnapshot(model, 6, 192, nullptr);
-    WriteCheckpoint(store, snap, plan, PlainWriter(), 3, SomeReaderState().Encode(), nullptr);
+    WriteCheckpoint(store, snap, plan, PlainWriter(), 3, SomeReaderState().Encode());
   }
 
   dlrm::DlrmModel restored(SmallModel());
@@ -394,6 +394,30 @@ TEST(ScrubChain, DetectsBitRotSizeDriftAndMissingDense) {
 
   // A scrub never repairs or applies anything: the store is untouched.
   EXPECT_FALSE(store.Exists(newest.dense_key));
+}
+
+// One flipped byte in one chunk is one defect: both scrubbers report it
+// once, keyed to that chunk, and never blame the checkpoint's intact
+// MANIFEST for the rows the chunk no longer decodes to.
+TEST(ScrubChain, RottedChunkIsOneIssueKeyedToTheChunk) {
+  storage::InMemoryStore store;
+  WriteChain(store, PlainWriter(), 3);
+  const auto newest = LoadManifest(store, "test", 4);
+  ASSERT_FALSE(newest.chunks.empty());
+  const std::string rotted = newest.chunks[0].key;
+  auto blob = *store.Get(rotted);
+  blob[blob.size() / 2] ^= 0x40;
+  store.Put(rotted, std::move(blob));
+
+  const auto serial = pipeline::ScrubChain(store, "test", 4);
+  const auto parallel = pipeline::ScrubChainParallel(store, "test", 4);
+  for (const auto* report : {&serial, &parallel}) {
+    EXPECT_EQ(report->issues.size(), 1u);
+    for (const auto& issue : report->issues) {
+      EXPECT_EQ(issue.key, rotted) << issue.what;
+      EXPECT_NE(issue.what.find("checksum"), std::string::npos) << issue.what;
+    }
+  }
 }
 
 TEST(ScrubChain, UnresolvableChainIsOneChainLevelIssue) {

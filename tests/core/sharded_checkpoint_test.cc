@@ -194,7 +194,7 @@ TEST(ShardedCheckpoint, CoordinatedCutRestoresBitIdenticalToSingleJobPath) {
     wc.quant.bits = 8;
     CheckpointPlan plan;
     plan.kind = storage::CheckpointKind::kFull;
-    WriteCheckpoint(plain_store, snap, plan, wc, 1, reader_state, nullptr);
+    WriteCheckpoint(plain_store, snap, plan, wc, 1, reader_state);
   }
 
   dlrm::DlrmModel from_sharded(SmallModel());
@@ -295,7 +295,6 @@ TEST(ShardedCheckpoint, TornCommitLeavesPreviousCutRestorable) {
   dlrm::DlrmModel model(SmallModel());
   ServiceConfig sc;
   sc.put_attempts = 2;
-  sc.retry_backoff = std::chrono::microseconds{0};
   CheckpointService service(store, sc);
   ShardedJobHandle handle(service, model, ShardedConfig("torn", /*quantize=*/false));
 
@@ -526,6 +525,46 @@ TEST(ShardedCheckpoint, ReattachResumesIdAndEpochNumbering) {
   dlrm::DlrmModel restored(SmallModel());
   EXPECT_EQ(RestoreShardedModel(*store, "resume", restored).cut_epoch, 2u);
   ExpectModelsEqual(model, restored);
+}
+
+// Stray objects under a job's ckpt/ and cut/ prefixes (a foreign tool's
+// temp file, a hand-copied directory) are not checkpoints: the id and
+// epoch scans skip them instead of throwing, so the newest checkpoint still
+// restores and a sharded handle still opens and cuts on the job.
+TEST(ShardedCheckpoint, StrayKeysUnderCkptAndCutAreSkipped) {
+  auto store = std::make_shared<storage::InMemoryStore>();
+  dlrm::DlrmModel model(SmallModel());
+  TrainBatches(model, 0, 4);
+  {
+    WriterConfig wc;
+    wc.job = "stray";
+    wc.chunk_rows = 16;
+    wc.quant.method = quant::Method::kNone;
+    CheckpointPlan plan;
+    plan.kind = storage::CheckpointKind::kFull;
+    WriteCheckpoint(*store, CreateSnapshot(model, 4, 128), plan, wc, 1,
+                    data::ReaderState{}.Encode());
+  }
+  store->Put("jobs/stray/ckpt/notanid/MANIFEST", {1, 2, 3});
+  store->Put("jobs/stray/cut/notanepoch/COORD", {1, 2, 3});
+
+  std::optional<std::uint64_t> latest, latest_cut;
+  EXPECT_NO_THROW(latest = LatestCheckpointId(*store, "stray"));
+  EXPECT_EQ(latest, std::optional<std::uint64_t>(1));
+  dlrm::DlrmModel restored(SmallModel());
+  EXPECT_NO_THROW(RestoreModel(*store, "stray", restored));
+  ExpectModelsEqual(model, restored);
+  EXPECT_NO_THROW(latest_cut = LatestCutEpoch(*store, "stray"));
+  EXPECT_EQ(latest_cut, std::nullopt);
+
+  CheckpointService service(store);
+  std::optional<ShardedJobHandle> handle;
+  EXPECT_NO_THROW(handle.emplace(service, model, ShardedConfig("stray", /*quantize=*/false)));
+  ASSERT_TRUE(handle.has_value());
+  const CutResult cut = handle->WriteCut(4, 128);
+  ASSERT_TRUE(cut.committed);
+  EXPECT_EQ(cut.cut_epoch, 1u);
+  for (const auto& e : cut.shard_map) EXPECT_GT(e.checkpoint_id, 1u);
 }
 
 }  // namespace

@@ -68,25 +68,6 @@ TEST(Snapshot, ImmutableUnderFurtherTraining) {
   EXPECT_EQ(snap.shards[0][0].weights, frozen);  // the copy is detached
 }
 
-TEST(Snapshot, ParallelEqualsSerial) {
-  dlrm::DlrmModel model(SmallModel());
-  data::SyntheticDataset ds(MatchingDataset());
-  for (std::uint64_t b = 0; b < 3; ++b) model.TrainBatch(ds.GetBatch(b, b * 32, 32));
-
-  util::ThreadPool pool(4);
-  const ModelSnapshot serial = CreateSnapshot(model, 3, 96, nullptr);
-  const ModelSnapshot parallel = CreateSnapshot(model, 3, 96, &pool);
-
-  ASSERT_EQ(serial.shards.size(), parallel.shards.size());
-  for (std::size_t t = 0; t < serial.shards.size(); ++t) {
-    for (std::size_t s = 0; s < serial.shards[t].size(); ++s) {
-      EXPECT_EQ(serial.shards[t][s].weights, parallel.shards[t][s].weights);
-      EXPECT_EQ(serial.shards[t][s].adagrad, parallel.shards[t][s].adagrad);
-    }
-  }
-  EXPECT_EQ(serial.dense_blob, parallel.dense_blob);
-}
-
 TEST(Snapshot, StateBytesAccounting) {
   dlrm::DlrmModel model(SmallModel());
   const ModelSnapshot snap = CreateSnapshot(model, 0, 0, nullptr);

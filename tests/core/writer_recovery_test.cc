@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/recovery.h"
+#include "core/service.h"
 #include "core/tracking.h"
 #include "core/writer.h"
 #include "data/synthetic.h"
@@ -74,7 +78,7 @@ TEST(WriterRecovery, FullCheckpointRoundTripBitExact) {
   CheckpointPlan plan;
   plan.kind = storage::CheckpointKind::kFull;
   const auto result =
-      WriteCheckpoint(store, snap, plan, PlainWriter(), 1, SomeReaderState().Encode(), nullptr);
+      WriteCheckpoint(store, snap, plan, PlainWriter(), 1, SomeReaderState().Encode());
 
   EXPECT_EQ(result.rows_written, 128u + 64u);
   EXPECT_GT(result.bytes_written, 0u);
@@ -103,7 +107,7 @@ TEST(WriterRecovery, IncrementalRestoresModifiedRows) {
     const ModelSnapshot snap = CreateSnapshot(model, 4, 128, nullptr);
     CheckpointPlan plan;
     plan.kind = storage::CheckpointKind::kFull;
-    WriteCheckpoint(store, snap, plan, PlainWriter(), 1, SomeReaderState().Encode(), nullptr);
+    WriteCheckpoint(store, snap, plan, PlainWriter(), 1, SomeReaderState().Encode());
   }
 
   // Interval 2: more training, incremental over baseline.
@@ -115,7 +119,7 @@ TEST(WriterRecovery, IncrementalRestoresModifiedRows) {
     plan.parent_id = 1;
     plan.rows = tracker.HarvestInterval();
     const auto result = WriteCheckpoint(store, snap, plan, PlainWriter(), 2,
-                                        SomeReaderState().Encode(), nullptr);
+                                        SomeReaderState().Encode());
     // Incremental writes strictly fewer rows than the full model.
     EXPECT_LT(result.rows_written, 128u + 64u);
     EXPECT_GT(result.rows_written, 0u);
@@ -139,7 +143,7 @@ TEST(WriterRecovery, ConsecutiveChainRestores) {
     const ModelSnapshot snap = CreateSnapshot(model, 0, 0, nullptr);
     CheckpointPlan plan;
     plan.kind = storage::CheckpointKind::kFull;
-    WriteCheckpoint(store, snap, plan, PlainWriter(), 1, SomeReaderState().Encode(), nullptr);
+    WriteCheckpoint(store, snap, plan, PlainWriter(), 1, SomeReaderState().Encode());
   }
   for (std::uint64_t id = 2; id <= 4; ++id) {
     for (int b = 0; b < 3; ++b) {
@@ -151,7 +155,7 @@ TEST(WriterRecovery, ConsecutiveChainRestores) {
     plan.kind = storage::CheckpointKind::kIncremental;
     plan.parent_id = id - 1;
     plan.rows = tracker.HarvestInterval();
-    WriteCheckpoint(store, snap, plan, PlainWriter(), id, SomeReaderState().Encode(), nullptr);
+    WriteCheckpoint(store, snap, plan, PlainWriter(), id, SomeReaderState().Encode());
   }
 
   const auto chain = ResolveChain(store, "test", 4);
@@ -174,7 +178,7 @@ TEST(WriterRecovery, QuantizedRestoreWithinGridError) {
   const ModelSnapshot snap = CreateSnapshot(model, 6, 192, nullptr);
   CheckpointPlan plan;
   plan.kind = storage::CheckpointKind::kFull;
-  WriteCheckpoint(store, snap, plan, wcfg, 1, SomeReaderState().Encode(), nullptr);
+  WriteCheckpoint(store, snap, plan, wcfg, 1, SomeReaderState().Encode());
 
   dlrm::DlrmModel restored(SmallModel());
   RestoreModel(store, "test", restored);
@@ -220,7 +224,7 @@ TEST(WriterRecovery, QuantizationShrinksCheckpoint) {
       wcfg.quant.bits = bits;
     }
     const auto result =
-        WriteCheckpoint(store, snap, plan, wcfg, 1, SomeReaderState().Encode(), nullptr);
+        WriteCheckpoint(store, snap, plan, wcfg, 1, SomeReaderState().Encode());
     sizes[i++] = result.bytes_written;
   }
   // 4-bit embeddings ~8x smaller; with adagrad + params overhead expect >2x.
@@ -243,7 +247,7 @@ TEST(WriterRecovery, MixedQuantChainUsesPerManifestConfig) {
     const ModelSnapshot snap = CreateSnapshot(model, 4, 128, nullptr);
     CheckpointPlan plan;
     plan.kind = storage::CheckpointKind::kFull;
-    WriteCheckpoint(store, snap, plan, w4, 1, SomeReaderState().Encode(), nullptr);
+    WriteCheckpoint(store, snap, plan, w4, 1, SomeReaderState().Encode());
   }
   // Incremental at 8 bits (fallback scenario).
   for (int b = 4; b < 8; ++b) model.TrainBatch(ds.GetBatch(b, b * 32ull, 32));
@@ -256,7 +260,7 @@ TEST(WriterRecovery, MixedQuantChainUsesPerManifestConfig) {
     plan.kind = storage::CheckpointKind::kIncremental;
     plan.parent_id = 1;
     plan.rows = tracker.HarvestInterval();
-    WriteCheckpoint(store, snap, plan, w8, 2, SomeReaderState().Encode(), nullptr);
+    WriteCheckpoint(store, snap, plan, w8, 2, SomeReaderState().Encode());
   }
 
   dlrm::DlrmModel restored(SmallModel());
@@ -287,7 +291,7 @@ TEST(WriterRecovery, LatestCheckpointIdFindsNewest) {
   CheckpointPlan plan;
   plan.kind = storage::CheckpointKind::kFull;
   for (const std::uint64_t id : {3ull, 12ull, 7ull}) {
-    WriteCheckpoint(store, snap, plan, PlainWriter(), id, SomeReaderState().Encode(), nullptr);
+    WriteCheckpoint(store, snap, plan, PlainWriter(), id, SomeReaderState().Encode());
   }
   EXPECT_EQ(LatestCheckpointId(store, "test"), 12u);
   EXPECT_FALSE(LatestCheckpointId(store, "otherjob").has_value());
@@ -300,7 +304,7 @@ TEST(WriterRecovery, MissingChunkFailsRecovery) {
   CheckpointPlan plan;
   plan.kind = storage::CheckpointKind::kFull;
   const auto result =
-      WriteCheckpoint(store, snap, plan, PlainWriter(), 1, SomeReaderState().Encode(), nullptr);
+      WriteCheckpoint(store, snap, plan, PlainWriter(), 1, SomeReaderState().Encode());
   ASSERT_FALSE(result.manifest.chunks.empty());
   store.Delete(result.manifest.chunks[0].key);
 
@@ -315,7 +319,7 @@ TEST(WriterRecovery, CorruptedChunkDetectedByChecksum) {
   CheckpointPlan plan;
   plan.kind = storage::CheckpointKind::kFull;
   const auto result =
-      WriteCheckpoint(store, snap, plan, PlainWriter(), 1, SomeReaderState().Encode(), nullptr);
+      WriteCheckpoint(store, snap, plan, PlainWriter(), 1, SomeReaderState().Encode());
 
   // Flip one bit in the middle of a chunk (simulated storage-tier bit rot).
   const auto& key = result.manifest.chunks[0].key;
@@ -339,7 +343,7 @@ TEST(WriterRecovery, TruncatedChunkDetected) {
   CheckpointPlan plan;
   plan.kind = storage::CheckpointKind::kFull;
   const auto result =
-      WriteCheckpoint(store, snap, plan, PlainWriter(), 1, SomeReaderState().Encode(), nullptr);
+      WriteCheckpoint(store, snap, plan, PlainWriter(), 1, SomeReaderState().Encode());
 
   const auto& key = result.manifest.chunks[0].key;
   auto blob = *store.Get(key);
@@ -356,23 +360,72 @@ TEST(WriterRecovery, RestoreWithNoCheckpointsThrows) {
   EXPECT_THROW(RestoreModel(store, "test", model), std::runtime_error);
 }
 
-TEST(WriterRecovery, ParallelWriterMatchesSerial) {
-  dlrm::DlrmModel model = TrainedModel(5);
-  const ModelSnapshot snap = CreateSnapshot(model, 5, 160, nullptr);
-  CheckpointPlan plan;
-  plan.kind = storage::CheckpointKind::kFull;
+// The serial reference writer and the service's staged write path store the
+// same checkpoint byte for byte: the same keys, the same chunk and dense
+// objects, and manifests equal once their wall-clock timings are cleared.
+// Covers a full and an incremental plan with the adaptive 4-bit codec, whose
+// per-chunk encode must not depend on which worker ran it or in what order.
+TEST(WriterRecovery, ServiceWritesTheReferenceWritersBytes) {
+  data::SyntheticDataset ds(MatchingDataset());
+  dlrm::DlrmModel model(SmallModel());
+  ModifiedRowTracker tracker(model);
+  for (int b = 0; b < 4; ++b) model.TrainBatch(ds.GetBatch(b, b * 32ull, 32));
+  (void)tracker.HarvestInterval();
+  const ModelSnapshot full_snap = CreateSnapshot(model, 4, 128);
+  for (int b = 4; b < 8; ++b) model.TrainBatch(ds.GetBatch(b, b * 32ull, 32));
+  const ModelSnapshot incr_snap = CreateSnapshot(model, 8, 256);
 
-  storage::InMemoryStore serial_store, parallel_store;
-  util::ThreadPool pool(4);
-  WriteCheckpoint(serial_store, snap, plan, PlainWriter(), 1, SomeReaderState().Encode(),
-                  nullptr);
-  WriteCheckpoint(parallel_store, snap, plan, PlainWriter(), 1, SomeReaderState().Encode(),
-                  &pool);
+  CheckpointPlan full;
+  full.kind = storage::CheckpointKind::kFull;
+  CheckpointPlan incr;
+  incr.kind = storage::CheckpointKind::kIncremental;
+  incr.parent_id = 1;
+  incr.rows = tracker.HarvestInterval();
+  const std::vector<std::pair<const ModelSnapshot*, const CheckpointPlan*>> checkpoints = {
+      {&full_snap, &full}, {&incr_snap, &incr}};
 
-  dlrm::DlrmModel a(SmallModel()), b(SmallModel());
-  RestoreModel(serial_store, "test", a);
-  RestoreModel(parallel_store, "test", b);
-  ExpectModelsEqual(a, b);
+  WriterConfig wcfg = PlainWriter();
+  wcfg.quant.method = quant::Method::kAdaptiveAsymmetric;
+  wcfg.quant.bits = 4;
+  const std::vector<std::uint8_t> reader_state = SomeReaderState().Encode();
+
+  storage::InMemoryStore reference;
+  auto staged = std::make_shared<storage::InMemoryStore>();
+  {
+    CheckpointService service(staged);
+    JobConfig job;
+    job.name = wcfg.job;
+    job.gc = false;
+    const auto handle = service.OpenJob(job);
+    for (std::uint64_t id = 1; id <= checkpoints.size(); ++id) {
+      const auto [snap, plan] = checkpoints[id - 1];
+      WriteCheckpoint(reference, *snap, *plan, wcfg, id, reader_state);
+
+      CheckpointRequest req;
+      req.checkpoint_id = id;
+      req.writer = wcfg;
+      req.plan = *plan;
+      req.reader_state = reader_state;
+      req.snapshot_fn = [snap] { return *snap; };
+      handle->SubmitRaw(std::move(req)).get();
+    }
+  }
+
+  const auto keys = reference.List("");
+  ASSERT_EQ(keys, staged->List(""));
+  for (const auto& key : keys) {
+    const auto ref_bytes = *reference.Get(key);
+    const auto staged_bytes = *staged->Get(key);
+    if (!key.ends_with("/MANIFEST")) {
+      EXPECT_EQ(ref_bytes, staged_bytes) << key;
+      continue;
+    }
+    storage::Manifest ref_manifest = storage::Manifest::Decode(ref_bytes);
+    storage::Manifest staged_manifest = storage::Manifest::Decode(staged_bytes);
+    ref_manifest.timings = {};
+    staged_manifest.timings = {};
+    EXPECT_EQ(ref_manifest.Encode(), staged_manifest.Encode()) << key;
+  }
 }
 
 TEST(WriterRecovery, ChunkRowsDoNotAffectResult) {
@@ -385,7 +438,7 @@ TEST(WriterRecovery, ChunkRowsDoNotAffectResult) {
     storage::InMemoryStore store;
     WriterConfig wcfg = PlainWriter();
     wcfg.chunk_rows = chunk_rows;
-    WriteCheckpoint(store, snap, plan, wcfg, 1, SomeReaderState().Encode(), nullptr);
+    WriteCheckpoint(store, snap, plan, wcfg, 1, SomeReaderState().Encode());
     dlrm::DlrmModel restored(SmallModel());
     RestoreModel(store, "test", restored);
     ExpectModelsEqual(model, restored);
@@ -401,7 +454,7 @@ TEST(WriterRecovery, ZeroChunkRowsThrows) {
   WriterConfig wcfg = PlainWriter();
   wcfg.chunk_rows = 0;
   EXPECT_THROW(
-      WriteCheckpoint(store, snap, plan, wcfg, 1, SomeReaderState().Encode(), nullptr),
+      WriteCheckpoint(store, snap, plan, wcfg, 1, SomeReaderState().Encode()),
       std::invalid_argument);
 }
 

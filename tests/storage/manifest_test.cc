@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 namespace cnr::storage {
 namespace {
 
@@ -171,6 +174,27 @@ TEST(ManifestKeys, CheckpointPrefixCoversItsObjects) {
   EXPECT_EQ(Manifest::ManifestKey("job", 7).find(prefix), 0u);
   EXPECT_EQ(Manifest::DenseKey("job", 7).find(prefix), 0u);
   EXPECT_EQ(Manifest::ChunkKey("job", 7, 0, 0, 0).find(prefix), 0u);
+}
+
+TEST(ManifestKeys, ParseIdInvertsTheKeyFunctions) {
+  using Id = std::optional<std::uint64_t>;
+  const std::string ckpt = Manifest::JobPrefix("j") + "ckpt/";
+  EXPECT_EQ(Manifest::ParseId(Manifest::ManifestKey("j", 7), ckpt), Id(7));
+  EXPECT_EQ(Manifest::ParseId(Manifest::ChunkKey("j", 7, 1, 2, 3), ckpt), Id(7));
+  EXPECT_EQ(Manifest::ParseId(Manifest::CutKey("j", 12), Manifest::JobPrefix("j") + "cut/"),
+            Id(12));
+  EXPECT_EQ(Manifest::ParseId(Manifest::DeltaSegmentKey("j", 3, 9), Manifest::DeltaLogRoot("j")),
+            Id(3));
+  EXPECT_EQ(Manifest::ParseId("jobs/j/ckpt/42", ckpt), Id(42));  // ended by the key's end
+  EXPECT_EQ(Manifest::ParseId("jobs/j/ckpt/notanid/MANIFEST", ckpt), std::nullopt);
+  EXPECT_EQ(Manifest::ParseId("jobs/j/ckpt//MANIFEST", ckpt), std::nullopt);
+  EXPECT_EQ(Manifest::ParseId("jobs/j/ckpt/", ckpt), std::nullopt);
+  EXPECT_EQ(Manifest::ParseId("jobs/j/ckpt/12x/MANIFEST", ckpt), std::nullopt);
+  EXPECT_EQ(Manifest::ParseId("jobs/j/ckpt/-1/MANIFEST", ckpt), std::nullopt);
+  EXPECT_EQ(Manifest::ParseId("jobs/j/ckpt/+1/MANIFEST", ckpt), std::nullopt);
+  EXPECT_EQ(Manifest::ParseId("jobs/j/ckpt/18446744073709551616/MANIFEST", ckpt),
+            std::nullopt);  // 2^64 overflows
+  EXPECT_EQ(Manifest::ParseId("jobs/jj/ckpt/000000000001/MANIFEST", ckpt), std::nullopt);
 }
 
 TEST(Manifest, EmptyManifestRoundTrips) {

@@ -46,6 +46,15 @@ Rules:
      drifted apart before. Lines declaring an `override` (store decorators)
      are exempt; comments and strings are stripped first.
 
+  6. one-worker-runtime: util::Thread, the only way to start a thread in
+     src/ (rule 1 bans the raw std::thread), is named only in util/sync.h
+     (its definition), core/pipeline/executor.{h,cc} (the StageExecutor,
+     the library's one parallel runtime, which sizes each stage from
+     measured load) and data/reader.{h,cc} (the reader tier's workers, a
+     separate service in the paper, §4.1). A private pool anywhere else
+     takes its parallelism from a constant and competes with the executor
+     for the same cores. Comments and strings are stripped first.
+
 Usage: python3 tools/check_invariants.py [repo_root]
 Exit 0 if every invariant holds, 1 otherwise (violations listed on stderr).
 """
@@ -92,6 +101,16 @@ DELETE_PATTERN = re.compile(r"\bDelete\s*\(")
 DELETE_ALLOWED = {
     os.path.join("src", "core", "maintenance.cc"),
     os.path.join("src", "core", "delta_log.cc"),
+}
+
+# Rule 6: the files that may start threads.
+THREAD_PATTERN = re.compile(r"\bThread\b")
+THREAD_ALLOWED = {
+    SYNC_HEADER,
+    os.path.join("src", "core", "pipeline", "executor.h"),
+    os.path.join("src", "core", "pipeline", "executor.cc"),
+    os.path.join("src", "data", "reader.h"),
+    os.path.join("src", "data", "reader.cc"),
 }
 
 LINE_COMMENT = re.compile(r"//.*")
@@ -193,6 +212,21 @@ def check_deletes(root, failures):
                 )
 
 
+def check_worker_runtime(root, failures):
+    for full, rel in iter_source_files(root):
+        if rel in THREAD_ALLOWED:
+            continue
+        with open(full, encoding="utf-8") as f:
+            code = strip_comments(f.read())
+        for lineno, line in enumerate(code.splitlines(), 1):
+            if THREAD_PATTERN.search(line):
+                failures.append(
+                    f"{rel}:{lineno}: util::Thread outside the StageExecutor "
+                    "(core/pipeline/executor.*) and the reader tier "
+                    "(data/reader.*) — run parallel work as executor stages"
+                )
+
+
 def check_manifest_version(root, failures):
     manifest = os.path.join(root, "src", "storage", "manifest.h")
     doc = os.path.join(root, "docs", "MANIFEST_FORMAT.md")
@@ -234,6 +268,7 @@ def main() -> int:
     check_tsa_suppressions(root, failures)
     check_sleeps(root, failures)
     check_deletes(root, failures)
+    check_worker_runtime(root, failures)
     check_manifest_version(root, failures)
     if failures:
         print(f"check_invariants: {len(failures)} violation(s):", file=sys.stderr)

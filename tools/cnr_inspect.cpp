@@ -196,12 +196,11 @@ void RestoreDrill(storage::ObjectStore& store, const std::string& job,
 }
 
 std::set<std::uint64_t> ListCheckpoints(storage::ObjectStore& store, const std::string& job) {
+  const std::string prefix = storage::Manifest::JobPrefix(job) + "ckpt/";
   std::set<std::uint64_t> ids;
-  for (const auto& key : store.List(storage::Manifest::JobPrefix(job) + "ckpt/")) {
-    if (key.ends_with("MANIFEST")) {
-      const auto tail = key.substr(0, key.size() - 9);
-      ids.insert(std::stoull(tail.substr(tail.find_last_of('/') + 1)));
-    }
+  for (const auto& key : store.List(prefix)) {
+    const auto id = storage::Manifest::ParseId(key, prefix);
+    if (id && key == storage::Manifest::ManifestKey(job, *id)) ids.insert(*id);
   }
   return ids;
 }
