@@ -10,6 +10,12 @@
 // clean chain, then with three kinds of planted damage (bit rot, a missing
 // chunk, a truncated dense blob).
 //
+// A second row times post-commit GC: an 8-shard job writes coordinated
+// cuts onto a far tier with a modeled round trip, and each cut's Wait()
+// (which runs the job's GC) is printed with the far Gets it issued. It is a
+// timing printout; ShardedCheckpoint.CutGcReadsNoManifest is the test that
+// a cut's GC reads no manifest back.
+//
 // Exit code is non-zero on any verdict mismatch, so CI's bench-smoke step
 // doubles as a parity check.
 //
@@ -23,6 +29,9 @@
 
 #include "core/maintenance.h"
 #include "core/service.h"
+#include "core/sharded_checkpoint.h"
+#include "data/synthetic.h"
+#include "dlrm/model.h"
 #include "storage/latency_store.h"
 
 using namespace cnr;
@@ -80,6 +89,52 @@ bool ReportsAgree(const core::pipeline::ScrubReport& serial,
                  parallel.chunks_checked);
   }
   return ok;
+}
+
+// The post-commit GC row.
+void PostCommitGcRow(bool smoke) {
+  const auto far_latency = smoke ? 200us : 2000us;
+  auto far = std::make_shared<storage::LatencyInjectedStore>(
+      std::make_shared<storage::InMemoryStore>(), far_latency, far_latency);
+
+  dlrm::ModelConfig mcfg;
+  mcfg.num_dense = 4;
+  mcfg.embedding_dim = 8;
+  mcfg.table_rows = {1024, 512};
+  mcfg.bottom_hidden = {16};
+  mcfg.top_hidden = {16};
+  mcfg.num_shards = 8;
+  dlrm::DlrmModel model(mcfg);
+  data::DatasetConfig dcfg;
+  dcfg.num_dense = 4;
+  dcfg.tables = {{1024, 2, 1.1}, {512, 1, 1.05}};
+  data::SyntheticDataset ds(dcfg);
+
+  core::ServiceConfig scfg;
+  scfg.encode_threads = 2;
+  scfg.store_threads = 2;
+  core::CheckpointService service(far, scfg);
+  core::ShardedJobConfig jcfg;  // intermittent policy, GC keeping one cut
+  jcfg.name = "cuts";
+  jcfg.quantize = false;
+  jcfg.chunk_rows = 64;
+  core::ShardedJobHandle handle(service, model, jcfg);
+
+  const int cuts = smoke ? 6 : 12;
+  std::printf("post-commit GC bench: %zu-shard job, %d cuts, far tier %lld us/op\n",
+              handle.num_shards(), cuts, static_cast<long long>(far_latency.count()));
+  for (int c = 1; c <= cuts; ++c) {
+    const auto batch = static_cast<std::uint64_t>(c);
+    model.TrainBatch(ds.GetBatch(batch, batch * 32, 32));
+    core::CutTicket ticket = handle.SubmitCut(batch, batch * 32);
+    const std::uint64_t gets_before = far->delayed_gets();
+    const auto t0 = std::chrono::steady_clock::now();
+    const core::CutResult cut = ticket.Wait();
+    const auto wall = std::chrono::steady_clock::now() - t0;
+    const std::uint64_t gets = far->delayed_gets() - gets_before;
+    std::printf("  cut %2d: Wait() %8.2f ms | far gets %3llu%s\n", c, Ms(wall),
+                static_cast<unsigned long long>(gets), cut.committed ? "" : " | NOT COMMITTED");
+  }
 }
 
 }  // namespace
@@ -169,5 +224,6 @@ int main(int argc, char** argv) {
   }
   std::printf("  verdict parity: OK (%zu chunks checked, reports identical)\n",
               serial_rot.chunks_checked);
+  PostCommitGcRow(smoke);
   return 0;
 }

@@ -76,85 +76,54 @@ std::set<std::uint64_t> CutLiveSet(const JobSurvey& survey) {
 
 }  // namespace
 
-JobSurvey SurveyJob(storage::ObjectStore& store, const std::string& job,
-                    bool measure_orphans) {
-  JobSurvey survey;
-  survey.job = job;
-  const auto keys = store.List(storage::Manifest::JobPrefix(job));
-  const std::string dlog_root = storage::Manifest::DeltaLogRoot(job);
+namespace {
 
-  // Pass 1: decode every manifest; record what each one attributes to the
-  // job (its own bytes measured, chunk/dense bytes as the manifest claims).
-  std::set<std::string> referenced;
+using Records = std::map<std::string, storage::PublicationRecord>;
+
+// Everything a survey knows from the job's publication records and its
+// keys: ids, parent links, cuts, bytes per checkpoint with its delta log,
+// and the live/stale split. `records` holds the publication keys among
+// `keys`; delta-log objects are measured through `store`. Both the survey
+// (records from Gets) and post-commit GC (records from the accounting
+// view's index) build through here, so the two cannot drift apart.
+void AddLineage(JobSurvey& survey, storage::ObjectStore& store,
+                const std::vector<std::string>& keys, const Records& records) {
+  const std::string& job = survey.job;
   for (const auto& key : keys) {
+    const auto it = records.find(key);
+    if (it == records.end() || !it->second.readable) continue;
+    const storage::PublicationRecord& r = it->second;
+    survey.objects[key] = r.object_bytes;
     // Coordinated cut objects (core/sharded_checkpoint.h): the COORD
     // manifest references itself and the cut's dense blob; its shard map
     // ties the job's sub-checkpoints into one lineage unit.
-    if (key.ends_with("/COORD")) {
-      const auto blob = store.Get(key);
-      if (!blob) continue;
+    if (storage::Manifest::IsCutKey(key)) {
       CutSurvey cut;
-      try {
-        storage::Manifest m = storage::Manifest::Decode(*blob);
-        if (m.kind != storage::CheckpointKind::kCoordinated) continue;
-        cut.epoch = m.cut_epoch;
-        cut.dense_key = m.dense_key;
-        cut.dense_bytes = m.dense_bytes;
-        cut.shard_map = m.shard_map;
-      } catch (...) {
-        continue;  // undecodable cut manifest: stays unreferenced (orphan)
-      }
+      cut.epoch = r.id;
       cut.manifest_key = key;
-      cut.manifest_bytes = blob->size();
-      referenced.insert(key);
-      survey.objects[key] = blob->size();
-      if (!cut.dense_key.empty()) {
-        referenced.insert(cut.dense_key);
-        survey.objects[cut.dense_key] = cut.dense_bytes;
-      }
+      cut.manifest_bytes = r.object_bytes;
+      cut.dense_key = r.dense_key;
+      cut.dense_bytes = r.dense_bytes;
+      cut.shard_map = r.shard_map;
+      if (!cut.dense_key.empty()) survey.objects[cut.dense_key] = cut.dense_bytes;
       survey.cuts.push_back(std::move(cut));
       continue;
     }
-    if (!key.ends_with("/MANIFEST")) continue;
-    const auto blob = store.Get(key);
-    if (!blob) continue;  // raced a concurrent delete
-    storage::Manifest m;
-    try {
-      m = storage::Manifest::Decode(*blob);
-    } catch (...) {
-      continue;  // undecodable manifest: its key stays unreferenced (orphan)
-    }
-    referenced.insert(key);
-    survey.objects[key] = blob->size();
-    std::uint64_t bytes = blob->size();
-    for (const auto& c : m.chunks) {
-      referenced.insert(c.key);
-      survey.objects[c.key] = c.bytes;
-      bytes += c.bytes;
-    }
-    if (!m.dense_key.empty()) {
-      referenced.insert(m.dense_key);
-      survey.objects[m.dense_key] = m.dense_bytes;
-      bytes += m.dense_bytes;
-    }
-    survey.bytes_by_checkpoint[m.checkpoint_id] = bytes;
-    if (m.kind == storage::CheckpointKind::kIncremental) {
-      survey.parent_of[m.checkpoint_id] = m.parent_id;
-    }
-    survey.ids.push_back(m.checkpoint_id);
+    survey.bytes_by_checkpoint[r.id] = r.object_bytes + r.claimed_bytes;
+    if (r.kind == storage::CheckpointKind::kIncremental) survey.parent_of[r.id] = r.parent_id;
+    survey.ids.push_back(r.id);
   }
   std::sort(survey.ids.begin(), survey.ids.end());
   std::sort(survey.cuts.begin(), survey.cuts.end(),
             [](const CutSurvey& a, const CutSurvey& b) { return a.epoch < b.epoch; });
 
-  // Pass 1b: delta-log segments (core/delta_log.h) ride their base
-  // checkpoint's lineage. Every object under dlog/<base>/ whose base is
-  // manifested is attributed to that checkpoint's footprint, so live/stale
+  // Delta-log segments (core/delta_log.h) ride their base checkpoint's
+  // lineage. Every object under dlog/<base>/ whose base is manifested is
+  // attributed to that checkpoint's footprint, so live/stale
   // classification, quota eviction, and GC sizing treat base + log as one
-  // unit. A log whose base manifest is gone is debris — left unreferenced
-  // here, so pass 3 reports it with the orphans. Segments belong to a
-  // manifested lineage, so they are measured (a stat, never a download)
-  // even when measure_orphans = false.
+  // unit. A log whose base manifest is gone is debris — left unattributed
+  // here, so the survey reports it with the orphans.
+  const std::string dlog_root = storage::Manifest::DeltaLogRoot(job);
   for (const auto& key : keys) {
     const auto base = storage::Manifest::ParseId(key, dlog_root);
     if (!base || !IsManifested(survey, *base)) continue;
@@ -162,15 +131,14 @@ JobSurvey SurveyJob(storage::ObjectStore& store, const std::string& job,
     if (!key.starts_with(storage::Manifest::DeltaLogPrefix(job, *base))) continue;
     const auto size = store.SizeOf(key);
     if (!size) continue;  // raced a concurrent truncation or compaction
-    referenced.insert(key);
     survey.objects[key] = *size;
     survey.bytes_by_checkpoint[*base] += *size;
     survey.dlog_bytes_by_base[*base] += *size;
   }
 
-  // Pass 2: classify checkpoints as live or stale. Unsharded: live is the
-  // newest id's chain. With coordinated cuts: live is the newest cut's
-  // shards' chains plus everything newer than that cut (CutLiveSet) — a
+  // Classify checkpoints as live or stale. Unsharded: live is the newest
+  // id's chain. With coordinated cuts: live is the newest cut's shards'
+  // chains plus everything newer than that cut (CutLiveSet) — a
   // sub-checkpoint is never judged by id recency alone, or half a cut could
   // be classified stale.
   std::set<std::uint64_t> live;
@@ -199,13 +167,45 @@ JobSurvey SurveyJob(storage::ObjectStore& store, const std::string& job,
       survey.stale_bytes += survey.cuts[i].object_bytes();
     }
   }
+}
 
-  // Pass 3: anything under the job's prefix that no manifest references is
-  // an orphan; measure it so reconciliation can account for it. Skipped for
-  // callers that only care about manifested lineages.
+// SurveyJob, also handing back the publication records it decoded.
+JobSurvey Survey(storage::ObjectStore& store, const std::string& job, bool measure_orphans,
+                 Records& records) {
+  JobSurvey survey;
+  survey.job = job;
+  const auto keys = store.List(storage::Manifest::JobPrefix(job));
+
+  // Decode every publication object; what a manifest references beyond
+  // itself (chunk and dense objects, at the sizes it claims) is attributed
+  // to the job here, its lineage in AddLineage.
+  for (const auto& key : keys) {
+    if (!storage::Manifest::IsPublicationKey(key)) continue;
+    const auto blob = store.Get(key);
+    if (!blob) continue;  // raced a concurrent delete
+    storage::PublicationRecord record;
+    record.object_bytes = blob->size();
+    try {
+      const storage::Manifest m = storage::Manifest::Decode(*blob);
+      record = storage::PublicationRecord::Of(key, m, blob->size());
+      if (record.readable) {
+        for (const auto& c : m.chunks) survey.objects[c.key] = c.bytes;
+        if (!m.dense_key.empty()) survey.objects[m.dense_key] = m.dense_bytes;
+      }
+    } catch (...) {
+      // Undecodable: an unreadable record, and its key stays unreferenced
+      // (an orphan).
+    }
+    records.emplace(key, std::move(record));
+  }
+  AddLineage(survey, store, keys, records);
+
+  // Anything under the job's prefix that nothing attributed is an orphan;
+  // measure it so reconciliation can account for it. Skipped for callers
+  // that only care about manifested lineages.
   if (measure_orphans) {
     for (const auto& key : keys) {
-      if (referenced.contains(key)) continue;
+      if (survey.objects.contains(key)) continue;
       const auto size = store.SizeOf(key);
       if (!size) continue;
       survey.orphans.push_back(key);
@@ -213,6 +213,34 @@ JobSurvey SurveyJob(storage::ObjectStore& store, const std::string& job,
       survey.orphan_bytes += *size;
     }
   }
+  return survey;
+}
+
+}  // namespace
+
+JobSurvey SurveyJob(storage::ObjectStore& store, const std::string& job,
+                    bool measure_orphans) {
+  Records records;
+  return Survey(store, job, measure_orphans, records);
+}
+
+std::optional<JobSurvey> SurveyFromIndex(const storage::AccountingStore& accounting,
+                                         storage::ObjectStore& store, const std::string& job) {
+  const std::string prefix = storage::Manifest::JobPrefix(job);
+  // Records first, List second: a publication Put or Delete racing the two
+  // has its key in one and not the other, so they disagree.
+  const Records records = accounting.Publications(prefix);
+  const auto keys = store.List(prefix);
+  std::size_t listed = 0;
+  for (const auto& key : keys) {
+    if (!storage::Manifest::IsPublicationKey(key)) continue;
+    if (!records.contains(key)) return std::nullopt;
+    ++listed;
+  }
+  if (listed != records.size()) return std::nullopt;
+  JobSurvey survey;
+  survey.job = job;
+  AddLineage(survey, store, keys, records);
   return survey;
 }
 
@@ -351,9 +379,12 @@ void GcReport::Add(GcJobReport job) {
   jobs.push_back(std::move(job));
 }
 
-GcJobReport GcJob(storage::ObjectStore& store, const std::string& job,
-                  const GcOptions& options, const std::set<std::uint64_t>& pinned) {
-  const JobSurvey survey = SurveyJob(store, job, options.remove_orphans);
+namespace {
+
+// GcJob after its survey.
+GcJobReport GcSurveyed(storage::ObjectStore& store, const JobSurvey& survey,
+                       const GcOptions& options, const std::set<std::uint64_t>& pinned) {
+  const std::string& job = survey.job;
   const RetentionPlan plan = PlanRetention(survey, options.keep_lineages, pinned);
   GcJobReport report;
   report.job = job;
@@ -378,6 +409,13 @@ GcJobReport GcJob(storage::ObjectStore& store, const std::string& job,
     }
   }
   return report;
+}
+
+}  // namespace
+
+GcJobReport GcJob(storage::ObjectStore& store, const std::string& job,
+                  const GcOptions& options, const std::set<std::uint64_t>& pinned) {
+  return GcSurveyed(store, SurveyJob(store, job, options.remove_orphans), options, pinned);
 }
 
 GcReport GcStore(storage::ObjectStore& store, const GcOptions& options) {
@@ -420,6 +458,17 @@ struct MaintenanceManager::Impl {
     util::MutexLock lock(mu);
     const auto it = pins.find(job);
     return it == pins.end() ? std::set<std::uint64_t>{} : it->second;
+  }
+
+  // What post-commit GC plans from: SurveyFromIndex, or — when the store
+  // disagrees with the index — a survey, whose records then replace the
+  // job's in the index.
+  JobSurvey CommitSurvey(const std::string& job) {
+    if (auto survey = SurveyFromIndex(*accounting, *store, job)) return std::move(*survey);
+    Records records;
+    JobSurvey survey = Survey(*store, job, /*measure_orphans=*/false, records);
+    accounting->ReplacePublications(storage::Manifest::JobPrefix(job), std::move(records));
+    return survey;
   }
 
   // Clock-subscriber scheduling: scans for due jobs and enqueues them on the
@@ -506,6 +555,10 @@ struct MaintenanceManager::Impl {
       CNR_LOG_WARN << "maintenance: scrub of job " << job << " found "
                    << report.issues.size() << " issue(s) — the stored chain is NOT "
                    << "restorable as-is (see docs/OPERATIONS.md)";
+      // The damage may sit in a publication object the index still vouches
+      // for (rot, or another writer, beside the view): drop the job's
+      // records, so its next post-commit GC surveys what is really stored.
+      accounting->ReplacePublications(storage::Manifest::JobPrefix(job), {});
     }
     util::MutexLock lock(mu);
     auto& stats = jobs[job].stats;  // jobs never registered still keep stats
@@ -707,7 +760,8 @@ void MaintenanceManager::Unpin(const std::string& job) {
 GcJobReport MaintenanceManager::GcAfterCommit(const std::string& job) {
   GcOptions options;
   options.keep_lineages = impl_->KeepOf(job);
-  GcJobReport report = GcJob(*impl_->store, job, options, impl_->PinsOf(job));
+  const std::set<std::uint64_t> pinned = impl_->PinsOf(job);
+  GcJobReport report = GcSurveyed(*impl_->store, impl_->CommitSurvey(job), options, pinned);
   if (!report.refused.empty()) throw std::runtime_error("gc: " + report.refused);
   return report;
 }

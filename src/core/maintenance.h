@@ -32,9 +32,18 @@
 //      the shared pipeline::StageExecutor (MaintenanceConfig::executor — the
 //      service passes its own).
 //
-// The manager keeps no copy of store state: every scrub and every quota
-// eviction reads the store at the moment it acts, so a write by another
-// process, or bit rot, is seen by the next one.
+// The manager keeps no copy of store state: every scrub, every quota
+// eviction and every explicit Gc() reads the store at the moment it acts,
+// so a write by another process, or bit rot, is seen by the next one. The
+// one exception is post-commit GC (GcAfterCommit), which runs on the commit
+// path of a job the service writes: it plans from the lineage index of the
+// accounting view (storage::AccountingStore, the records of the MANIFEST
+// and COORD objects the service wrote) plus one List, and surveys only when
+// that List disagrees with the index. An in-place overwrite of a
+// publication object made outside the service is therefore not seen by
+// post-commit GC until a scrub finds it: a scrub that is not clean drops the
+// job's records, so the job's next post-commit GC surveys. Gc() and quota
+// eviction see such damage on their own.
 //
 // Operator-facing semantics (eviction order, what a scrub failure means,
 // restart behavior, quota sizing) are documented in docs/OPERATIONS.md.
@@ -44,6 +53,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -134,6 +144,18 @@ std::vector<std::string> ListStoreJobs(storage::ObjectStore& store);
 JobSurvey SurveyJob(storage::ObjectStore& store, const std::string& job,
                     bool measure_orphans = true);
 
+// The survey post-commit GC plans from (MaintenanceManager::GcAfterCommit),
+// read from the accounting view's lineage index
+// (storage::AccountingStore::Publications) plus one List of the job's prefix
+// through `store`, with no Get. Its ids, parent links, cuts, per-checkpoint
+// bytes (delta-log objects measured through `store`, as SurveyJob does) and
+// live/stale split are SurveyJob's whenever the index saw every publication
+// object the store holds; it reports no orphans. nullopt when the List's
+// publication keys are not exactly the index's keys for the job — the
+// caller surveys instead.
+std::optional<JobSurvey> SurveyFromIndex(const storage::AccountingStore& accounting,
+                                         storage::ObjectStore& store, const std::string& job);
+
 // Ids on the recovery chains of the `keep_lineages` newest manifested
 // checkpoints. Computed from the survey's in-memory parent links;
 // keep_lineages == 0 is treated as 1 (the newest lineage is sacred).
@@ -221,7 +243,7 @@ struct GcReport {
   void Add(GcJobReport job);
 };
 
-// The per-job GC kernel: surveys `job`, plans retention with
+// The per-job GC kernel: surveys `job` (SurveyJob), plans retention with
 // options.keep_lineages and `pinned`, and deletes (or, dry-run, reports)
 // every unit of the plan. Deletes go through `store`, so running it over an
 // accounting view keeps occupancy truthful. A unit's publication object
@@ -327,7 +349,15 @@ class MaintenanceManager {
   void Unpin(const std::string& job);
 
   // The GC after a commit — a plain job's post-commit hook, a committed
-  // cut: GcJob over `job` only, with its registered retention and pins.
+  // cut: GcJob's plan and deletes over `job` only, with its registered
+  // retention and pins. It reads no manifest: the survey it plans from is
+  // SurveyFromIndex — the accounting view's publication records plus one
+  // List of the job's prefix. When that List's MANIFEST/COORD keys are not
+  // exactly the index's (a racing or failed publication write, another
+  // writer on the tier, the first GC after the service opened on a
+  // non-empty store or after a scrub found the job damaged), it runs
+  // SurveyJob instead, as GcJob does, and
+  // replaces the job's records with what the survey read.
   // Throws std::runtime_error, having deleted nothing, when the plan
   // refuses (the job's newest lineage does not reach a full checkpoint).
   GcJobReport GcAfterCommit(const std::string& job);
@@ -346,6 +376,8 @@ class MaintenanceManager {
   // unit; also what the background schedule runs. A job with no checkpoints
   // yields an empty, clean report. Every scrub fetches every object of the
   // live chain and its delta log, so silent bit rot is found on the next one.
+  // A scrub that is not clean also drops the job's records from the lineage
+  // index, so the job's next post-commit GC surveys the store.
   pipeline::ScrubReport ScrubJobNow(const std::string& job);
 
   JobMaintenanceStats job_stats(const std::string& job) const;

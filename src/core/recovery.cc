@@ -85,7 +85,7 @@ std::optional<std::uint64_t> LatestCheckpointId(storage::ObjectStore& store,
   const std::string prefix = storage::Manifest::JobPrefix(job) + "ckpt/";
   std::optional<std::uint64_t> latest;
   for (const auto& key : store.List(prefix)) {
-    if (!key.ends_with("/MANIFEST")) continue;
+    if (!storage::Manifest::IsManifestKey(key)) continue;
     const auto id = storage::Manifest::ParseId(key, prefix);
     if (!id || key != storage::Manifest::ManifestKey(job, *id)) continue;  // stray key
     if (!latest || *id > *latest) latest = id;

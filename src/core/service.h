@@ -24,7 +24,8 @@
 //   │                      or one coordinated cut however many shards it has
 //   ├── storage view       RetryingStore → AccountingStore → caller's store
 //   │                      (one retry policy, per-job occupancy accounting,
-//   │                       optional shared quota)
+//   │                       optional shared quota, and the lineage index
+//   │                       post-commit GC plans from)
 //   └── maintenance plane  core::MaintenanceManager: startup reconciliation
 //                          (occupancy seeded from the store's manifests),
 //                          quota-aware GC/eviction, SimClock-scheduled

@@ -291,7 +291,7 @@ std::optional<std::uint64_t> LatestCutEpoch(storage::ObjectStore& store,
   const std::string prefix = storage::Manifest::JobPrefix(job) + "cut/";
   std::optional<std::uint64_t> latest;
   for (const auto& key : store.List(prefix)) {
-    if (!key.ends_with("/COORD")) continue;
+    if (!storage::Manifest::IsCutKey(key)) continue;
     const auto epoch = storage::Manifest::ParseId(key, prefix);
     if (!epoch || key != storage::Manifest::CutKey(job, *epoch)) continue;  // stray key
     if (!latest || *epoch > *latest) latest = epoch;
@@ -314,17 +314,24 @@ storage::Manifest LoadCutManifest(storage::ObjectStore& store, const std::string
   return m;
 }
 
-ShardedRestoreResult RestorePartial(storage::ObjectStore& store, const std::string& job,
-                                    dlrm::DlrmModel& model,
-                                    const std::vector<std::uint32_t>& shard_ids,
-                                    std::optional<std::uint64_t> cut_epoch,
-                                    const pipeline::RestoreConfig& config) {
+namespace {
+
+// The cut a restore reads: `cut_epoch`'s, or the newest one.
+storage::Manifest ResolveCut(storage::ObjectStore& store, const std::string& job,
+                             std::optional<std::uint64_t> cut_epoch) {
   if (!cut_epoch) {
     cut_epoch = LatestCutEpoch(store, job);
     if (!cut_epoch) throw std::runtime_error("recovery: job has no coordinated cut: " + job);
   }
-  const storage::Manifest cut = LoadCutManifest(store, job, *cut_epoch);
+  return LoadCutManifest(store, job, *cut_epoch);
+}
 
+// Restores `shard_ids` of the decoded `cut` — RestorePartial's body, which
+// a full restore shares so that it reads the COORD once.
+ShardedRestoreResult RestoreCutShards(storage::ObjectStore& store, const std::string& job,
+                                      dlrm::DlrmModel& model, const storage::Manifest& cut,
+                                      const std::vector<std::uint32_t>& shard_ids,
+                                      const pipeline::RestoreConfig& config) {
   ShardedRestoreResult out;
   out.cut_epoch = cut.cut_epoch;
   out.batches_trained = cut.batches_trained;
@@ -363,20 +370,27 @@ ShardedRestoreResult RestorePartial(storage::ObjectStore& store, const std::stri
   return out;
 }
 
+}  // namespace
+
+ShardedRestoreResult RestorePartial(storage::ObjectStore& store, const std::string& job,
+                                    dlrm::DlrmModel& model,
+                                    const std::vector<std::uint32_t>& shard_ids,
+                                    std::optional<std::uint64_t> cut_epoch,
+                                    const pipeline::RestoreConfig& config) {
+  return RestoreCutShards(store, job, model, ResolveCut(store, job, cut_epoch), shard_ids,
+                          config);
+}
+
 ShardedRestoreResult RestoreShardedModel(storage::ObjectStore& store, const std::string& job,
                                          dlrm::DlrmModel& model,
                                          std::optional<std::uint64_t> cut_epoch,
                                          const pipeline::RestoreConfig& config) {
-  if (!cut_epoch) {
-    cut_epoch = LatestCutEpoch(store, job);
-    if (!cut_epoch) throw std::runtime_error("recovery: job has no coordinated cut: " + job);
-  }
-  const storage::Manifest cut = LoadCutManifest(store, job, *cut_epoch);
+  const storage::Manifest cut = ResolveCut(store, job, cut_epoch);
   std::vector<std::uint32_t> all;
   all.reserve(cut.shard_map.size());
   for (const auto& e : cut.shard_map) all.push_back(e.shard_id);
 
-  ShardedRestoreResult out = RestorePartial(store, job, model, all, cut_epoch, config);
+  ShardedRestoreResult out = RestoreCutShards(store, job, model, cut, all, config);
 
   // Full restore also needs the cut's dense blob (a partial restore does
   // not: dense MLP state is replicated across trainers).

@@ -197,7 +197,8 @@ storage::Manifest LoadCutManifest(storage::ObjectStore& store, const std::string
 
 // Full restore of a sharded job: every shard's chain through the staged
 // restore pipeline, then the cut's dense blob, reader state, and progress.
-// Restores the cut of `cut_epoch` (default: the newest).
+// Restores the cut of `cut_epoch` (default: the newest), reading its COORD
+// once.
 ShardedRestoreResult RestoreShardedModel(storage::ObjectStore& store, const std::string& job,
                                          dlrm::DlrmModel& model,
                                          std::optional<std::uint64_t> cut_epoch = std::nullopt,

@@ -1,9 +1,55 @@
 #include "storage/accounting_store.h"
 
+#include <optional>
 #include <string_view>
 #include <utility>
 
 namespace cnr::storage {
+
+namespace {
+
+// The keys whose prefix range in a key-sorted map starts at `prefix`.
+template <typename Map>
+auto PrefixRange(Map& map, const std::string& prefix) {
+  auto first = map.lower_bound(prefix);
+  auto last = first;
+  while (last != map.end() && last->first.starts_with(prefix)) ++last;
+  return std::pair{first, last};
+}
+
+}  // namespace
+
+PublicationRecord PublicationRecord::Of(std::string_view key, const Manifest& m,
+                                        std::uint64_t object_bytes) {
+  PublicationRecord r;
+  r.object_bytes = object_bytes;
+  if (Manifest::IsCutKey(key)) {
+    r.readable = m.kind == CheckpointKind::kCoordinated;
+    r.id = m.cut_epoch;
+    r.dense_key = m.dense_key;
+    r.dense_bytes = m.dense_bytes;
+    r.shard_map = m.shard_map;
+    return r;
+  }
+  r.readable = true;
+  r.id = m.checkpoint_id;
+  r.kind = m.kind;
+  r.parent_id = m.parent_id;
+  for (const auto& c : m.chunks) r.claimed_bytes += c.bytes;
+  if (!m.dense_key.empty()) r.claimed_bytes += m.dense_bytes;
+  return r;
+}
+
+PublicationRecord PublicationRecord::Decode(std::string_view key,
+                                            std::span<const std::uint8_t> bytes) {
+  try {
+    return Of(key, Manifest::Decode(bytes), bytes.size());
+  } catch (...) {
+    PublicationRecord r;
+    r.object_bytes = bytes.size();
+    return r;
+  }
+}
 
 AccountingStore::AccountingStore(std::shared_ptr<ObjectStore> backing,
                                  std::uint64_t quota_bytes)
@@ -21,6 +67,10 @@ std::string AccountingStore::JobOfKey(const std::string& key) {
 
 void AccountingStore::Put(const std::string& key, std::vector<std::uint8_t> data) {
   const std::uint64_t new_size = data.size();
+  // A publication object's record is decoded from the bytes in hand, before
+  // they move to the backing store and outside the lock.
+  std::optional<PublicationRecord> record;
+  if (Manifest::IsPublicationKey(key)) record = PublicationRecord::Decode(key, data);
   std::uint64_t replaced = 0;
   {
     // Check AND reserve under one lock: concurrent store workers must not
@@ -33,6 +83,7 @@ void AccountingStore::Put(const std::string& key, std::vector<std::uint8_t> data
     const auto it = sizes_.find(key);
     replaced = it == sizes_.end() ? 0 : it->second;
     if (quota_bytes_ > 0 && tracked_bytes_ - replaced + new_size > quota_bytes_) {
+      publications_.erase(key);
       throw QuotaExceeded("AccountingStore: put of " + std::to_string(new_size) +
                           " bytes for key " + key + " exceeds shared quota (" +
                           std::to_string(tracked_bytes_ - replaced) + " of " +
@@ -45,6 +96,7 @@ void AccountingStore::Put(const std::string& key, std::vector<std::uint8_t> data
   } catch (...) {
     util::WriterMutexLock lock(mu_);
     tracked_bytes_ = tracked_bytes_ + replaced - new_size;
+    publications_.erase(key);
     throw;
   }
   util::WriterMutexLock lock(mu_);
@@ -58,6 +110,7 @@ void AccountingStore::Put(const std::string& key, std::vector<std::uint8_t> data
   }
   usage.bytes += new_size;
   ++usage.puts;
+  if (record) publications_.insert_or_assign(key, std::move(*record));
 }
 
 bool AccountingStore::SeedObject(const std::string& key, std::uint64_t bytes) {
@@ -88,9 +141,17 @@ std::optional<std::vector<std::uint8_t>> AccountingStore::Get(const std::string&
 bool AccountingStore::Exists(const std::string& key) { return backing_->Exists(key); }
 
 bool AccountingStore::Delete(const std::string& key) {
-  const bool existed = backing_->Delete(key);
-  if (existed) {
+  bool existed = false;
+  try {
+    existed = backing_->Delete(key);
+  } catch (...) {
     util::WriterMutexLock lock(mu_);
+    publications_.erase(key);
+    throw;
+  }
+  util::WriterMutexLock lock(mu_);
+  publications_.erase(key);
+  if (existed) {
     const auto it = sizes_.find(key);
     if (it != sizes_.end()) {
       auto& usage = usage_[JobOfKey(key)];
@@ -111,6 +172,21 @@ std::vector<std::string> AccountingStore::List(const std::string& prefix) {
 std::uint64_t AccountingStore::TotalBytes() { return backing_->TotalBytes(); }
 
 StoreStats AccountingStore::Stats() { return backing_->Stats(); }
+
+std::map<std::string, PublicationRecord> AccountingStore::Publications(
+    const std::string& prefix) const {
+  util::ReaderMutexLock lock(mu_);
+  const auto [first, last] = PrefixRange(publications_, prefix);
+  return {first, last};
+}
+
+void AccountingStore::ReplacePublications(const std::string& prefix,
+                                          std::map<std::string, PublicationRecord> records) {
+  util::WriterMutexLock lock(mu_);
+  const auto [first, last] = PrefixRange(publications_, prefix);
+  publications_.erase(first, last);
+  publications_.merge(records);
+}
 
 JobUsage AccountingStore::Usage(const std::string& job) const {
   util::ReaderMutexLock lock(mu_);

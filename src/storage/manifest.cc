@@ -189,6 +189,14 @@ std::optional<std::uint64_t> Manifest::ParseId(std::string_view key, std::string
   return id;
 }
 
+bool Manifest::IsManifestKey(std::string_view key) { return key.ends_with("/MANIFEST"); }
+
+bool Manifest::IsCutKey(std::string_view key) { return key.ends_with("/COORD"); }
+
+bool Manifest::IsPublicationKey(std::string_view key) {
+  return IsManifestKey(key) || IsCutKey(key);
+}
+
 void DeltaSegmentHeader::Serialize(util::Writer& w) const {
   w.Put<std::uint32_t>(kMagic);
   w.Put<std::uint32_t>(kSegmentVersion);

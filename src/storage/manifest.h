@@ -158,6 +158,13 @@ struct Manifest {
   // only if it equals the key function's output for the parsed id, so stray
   // objects (jobs/<job>/ckpt/notanid/MANIFEST) are skipped, not fatal.
   static std::optional<std::uint64_t> ParseId(std::string_view key, std::string_view prefix);
+
+  // Whether `key` is named like a publication object — a checkpoint's
+  // MANIFEST (ManifestKey) or a cut's COORD (CutKey) — by its last component
+  // only, so a stray key with that name matches too.
+  static bool IsManifestKey(std::string_view key);
+  static bool IsCutKey(std::string_view key);
+  static bool IsPublicationKey(std::string_view key);
 };
 
 // Header of one delta-log segment object (format v4; docs/MANIFEST_FORMAT.md

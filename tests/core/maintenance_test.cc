@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -18,9 +19,14 @@
 #include <utility>
 #include <vector>
 
+#include "core/delta_log.h"
+#include "core/recovery.h"
 #include "core/service.h"
 #include "core/sharded_checkpoint.h"
+#include "core/snapshot.h"
+#include "data/reader.h"
 #include "data/synthetic.h"
+#include "storage/fault_injection.h"
 #include "storage/object_store.h"
 #include "util/sim_clock.h"
 
@@ -84,8 +90,8 @@ ServiceConfig SmallService() {
   return cfg;
 }
 
-// Store decorator recording the prefixes it Lists: the probe for "whose
-// keys did a GC look at".
+// Store decorator recording the prefixes it Lists and the keys it Gets: the
+// probe for "whose keys did a GC look at, and what did it read back".
 class ListRecordingStore : public storage::ObjectStore {
  public:
   explicit ListRecordingStore(std::shared_ptr<storage::ObjectStore> inner)
@@ -95,6 +101,10 @@ class ListRecordingStore : public storage::ObjectStore {
     inner_->Put(key, std::move(data));
   }
   std::optional<std::vector<std::uint8_t>> Get(const std::string& key) override {
+    {
+      std::lock_guard lock(mu_);
+      got_.push_back(key);
+    }
     return inner_->Get(key);
   }
   bool Exists(const std::string& key) override { return inner_->Exists(key); }
@@ -117,11 +127,17 @@ class ListRecordingStore : public storage::ObjectStore {
     std::lock_guard lock(mu_);
     return std::exchange(prefixes_, {});
   }
+  // Keys Got since the last call.
+  std::vector<std::string> TakeGot() {
+    std::lock_guard lock(mu_);
+    return std::exchange(got_, {});
+  }
 
  private:
   std::shared_ptr<storage::ObjectStore> inner_;
   std::mutex mu_;
   std::vector<std::string> prefixes_;
+  std::vector<std::string> got_;
 };
 
 // Store decorator that rejects the first Put of `key` with
@@ -834,6 +850,462 @@ TEST(Maintenance, QuotaTripOnTheFirstCutEvictsNoneOfItsShards) {
   dlrm::DlrmModel restored(ShardedModelConfig());
   (void)RestoreShardedModel(*backing, "first", restored);
   EXPECT_TRUE(restored.StateEquals(live));
+}
+
+// ------------------------------------------------- the lineage index --------
+
+// Injects one scripted fault at a chosen Put: a torn write (half the bytes
+// land, through a FaultInjectionStore, then StoreUnavailable) or a quota
+// trip (QuotaExceeded, nothing written).
+class ScriptedFaultStore : public storage::ObjectStore {
+ public:
+  explicit ScriptedFaultStore(std::shared_ptr<storage::ObjectStore> inner)
+      : inner_(inner), tearing_(std::move(inner), storage::FaultConfig{}) {}
+
+  // The next Put of a key under `prefix` that ends in `suffix` lands torn.
+  void TearNext(std::string prefix, std::string suffix) {
+    std::lock_guard lock(mu_);
+    tear_prefix_ = std::move(prefix);
+    tear_suffix_ = std::move(suffix);
+  }
+  // The next Put of `key` throws QuotaExceeded.
+  void TripQuotaOn(std::string key) {
+    std::lock_guard lock(mu_);
+    quota_key_ = std::move(key);
+  }
+  std::vector<std::string> faulted() {
+    std::lock_guard lock(mu_);
+    return faulted_;
+  }
+
+  void Put(const std::string& key, std::vector<std::uint8_t> data) override {
+    {
+      std::lock_guard lock(mu_);
+      if (!quota_key_.empty() && key == quota_key_) {
+        quota_key_.clear();
+        faulted_.push_back(key);
+        throw storage::QuotaExceeded("injected quota trip on " + key);
+      }
+      if (tear_prefix_.empty() || !key.starts_with(tear_prefix_) ||
+          !key.ends_with(tear_suffix_)) {
+        inner_->Put(key, std::move(data));
+        return;
+      }
+      tear_prefix_.clear();
+      faulted_.push_back(key);
+    }
+    tearing_.SetConfig(storage::FaultConfig{.fail_nth_put = 1, .torn_put = true});
+    tearing_.Put(key, std::move(data));  // lands half, then throws
+  }
+  std::optional<std::vector<std::uint8_t>> Get(const std::string& key) override {
+    return inner_->Get(key);
+  }
+  bool Exists(const std::string& key) override { return inner_->Exists(key); }
+  bool Delete(const std::string& key) override { return inner_->Delete(key); }
+  std::vector<std::string> List(const std::string& prefix) override {
+    return inner_->List(prefix);
+  }
+  std::uint64_t TotalBytes() override { return inner_->TotalBytes(); }
+  storage::StoreStats Stats() override { return inner_->Stats(); }
+  std::optional<std::uint64_t> SizeOf(const std::string& key) override {
+    return inner_->SizeOf(key);
+  }
+
+ private:
+  std::shared_ptr<storage::ObjectStore> inner_;
+  storage::FaultInjectionStore tearing_;
+  std::mutex mu_;
+  std::string tear_prefix_;
+  std::string tear_suffix_;
+  std::string quota_key_;
+  std::vector<std::string> faulted_;
+};
+
+void ExpectSamePlans(const JobSurvey& indexed, const JobSurvey& surveyed,
+                     const std::string& where) {
+  EXPECT_EQ(indexed.ids, surveyed.ids) << where;
+  EXPECT_EQ(indexed.parent_of, surveyed.parent_of) << where;
+  EXPECT_EQ(indexed.bytes_by_checkpoint, surveyed.bytes_by_checkpoint) << where;
+  EXPECT_EQ(indexed.dlog_bytes_by_base, surveyed.dlog_bytes_by_base) << where;
+  EXPECT_EQ(indexed.live_chain, surveyed.live_chain) << where;
+  EXPECT_EQ(indexed.stale, surveyed.stale) << where;
+  ASSERT_EQ(indexed.cuts.size(), surveyed.cuts.size()) << where;
+  for (std::size_t i = 0; i < indexed.cuts.size(); ++i) {
+    const CutSurvey& a = indexed.cuts[i];
+    const CutSurvey& b = surveyed.cuts[i];
+    EXPECT_EQ(a.epoch, b.epoch) << where;
+    EXPECT_EQ(a.manifest_key, b.manifest_key) << where;
+    EXPECT_EQ(a.object_bytes(), b.object_bytes()) << where;
+    EXPECT_EQ(a.dense_key, b.dense_key) << where;
+    ASSERT_EQ(a.shard_map.size(), b.shard_map.size()) << where;
+    for (std::size_t k = 0; k < a.shard_map.size(); ++k) {
+      EXPECT_EQ(a.shard_map[k].shard_id, b.shard_map[k].shard_id) << where;
+      EXPECT_EQ(a.shard_map[k].checkpoint_id, b.shard_map[k].checkpoint_id) << where;
+    }
+  }
+  for (const std::size_t keep : {1, 2, 3}) {
+    const RetentionPlan a = PlanRetention(indexed, keep);
+    const RetentionPlan b = PlanRetention(surveyed, keep);
+    EXPECT_EQ(a.refused, b.refused) << where << ", keep " << keep;
+    ASSERT_EQ(a.units.size(), b.units.size()) << where << ", keep " << keep;
+    for (std::size_t u = 0; u < a.units.size(); ++u) {
+      EXPECT_EQ(a.units[u].is_cut, b.units[u].is_cut) << where << ", unit " << u;
+      EXPECT_EQ(a.units[u].epoch, b.units[u].epoch) << where << ", unit " << u;
+      EXPECT_EQ(a.units[u].ids, b.units[u].ids) << where << ", unit " << u;
+      EXPECT_EQ(a.units[u].dlog_ids, b.units[u].dlog_ids) << where << ", unit " << u;
+      EXPECT_EQ(a.units[u].bytes, b.units[u].bytes) << where << ", unit " << u;
+    }
+  }
+}
+
+// Post-commit GC's survey (the index plus one List) against SurveyJob, for
+// every job in the store. Returns the jobs whose index disagreed with the
+// List — the ones a post-commit GC would survey instead.
+std::vector<std::string> CompareIndexWithSurvey(CheckpointService& service,
+                                                const std::string& step) {
+  std::vector<std::string> disagree;
+  for (const auto& job : ListStoreJobs(service.store())) {
+    const auto indexed = SurveyFromIndex(service.accounting(), service.store(), job);
+    if (!indexed) {
+      disagree.push_back(job);
+      continue;
+    }
+    ExpectSamePlans(*indexed, SurveyJob(service.store(), job, /*measure_orphans=*/false),
+                    step + ", job " + job);
+  }
+  return disagree;
+}
+
+// One submission of a model-less job sized like MakeSnapshot: rows
+// [0, dirty_rows) of both shards dirty, or a snapshot that fails.
+SubmittedCheckpoint SubmitInterval(JobHandle& handle, std::size_t dirty_rows,
+                                   bool fail_snapshot = false) {
+  IntervalSubmission sub;
+  sub.snapshot_fn = [fail_snapshot]() -> ModelSnapshot {
+    if (fail_snapshot) throw std::runtime_error("no snapshot");
+    return MakeSnapshot();
+  };
+  sub.interval_dirty.resize(1);
+  for (int s = 0; s < 2; ++s) {
+    sub.interval_dirty[0].emplace_back(64);
+    for (std::size_t r = 0; r < dirty_rows && r < 64; ++r) sub.interval_dirty[0][s].Set(r);
+  }
+  return handle.Submit(std::move(sub));
+}
+
+JobConfig PolicyJob(const std::string& name, PolicyKind policy, std::size_t keep) {
+  JobConfig cfg = RawJob(name);
+  cfg.policy = policy;
+  cfg.quantize = false;
+  cfg.chunk_rows = 16;
+  cfg.total_rows = 128;
+  cfg.gc = true;
+  cfg.keep_checkpoints = keep;
+  return cfg;
+}
+
+// The index is a cache of what the service wrote, so it must plan exactly
+// as a survey of the store does. A scripted history — plain jobs under the
+// one-shot and intermittent policies with re-baselines, a sharded job with
+// a torn cut and a quota trip on a cut's dense Put, a delta log with
+// appends, compaction and torn-tail truncation, Gc(), quota eviction, and
+// restarts with and without reconciliation — compares, after every step and
+// for every job, PlanRetention over SurveyFromIndex with PlanRetention over
+// SurveyJob. Where the index cannot vouch for the store (a torn Put, a
+// service opened on a non-empty store), it says so, and the first
+// post-commit GC of that job surveys and heals it.
+TEST(Maintenance, IndexPlansLikeTheSurvey) {
+  auto backing = std::make_shared<storage::InMemoryStore>();
+  auto faults = std::make_shared<ScriptedFaultStore>(backing);
+  ServiceConfig scfg = SmallService();
+  scfg.put_attempts = 1;  // an injected fault fails its write, no retry heals it
+  auto service = std::make_unique<CheckpointService>(faults, scfg);
+  const auto check = [&service](const std::string& step,
+                                const std::vector<std::string>& disagree = {}) {
+    EXPECT_EQ(CompareIndexWithSurvey(*service, step), disagree) << step;
+  };
+
+  // Plain jobs: one-shot (re-baselined by a failed snapshot), intermittent
+  // (re-baselined by its own growth rule), and a job without GC whose stale
+  // lineages are there to be evicted.
+  auto keeper = service->OpenJob(RawJob("keeper"));
+  for (std::uint64_t id = 1; id <= 3; ++id) keeper->SubmitRaw(MakeRequest("keeper", id)).get();
+  check("keeper");
+  auto oneshot = service->OpenJob(PolicyJob("oneshot", PolicyKind::kOneShot, 1));
+  for (int i = 0; i < 3; ++i) {
+    SubmitInterval(*oneshot, 8).future.get();
+    check("oneshot " + std::to_string(i));
+  }
+  EXPECT_THROW(SubmitInterval(*oneshot, 8, /*fail_snapshot=*/true), std::runtime_error);
+  auto rebaseline = SubmitInterval(*oneshot, 8);
+  EXPECT_EQ(rebaseline.kind, storage::CheckpointKind::kFull);
+  rebaseline.future.get();
+  check("oneshot re-baselined");
+  SubmitInterval(*oneshot, 8).future.get();
+  check("oneshot after the re-baseline");
+
+  auto intermittent =
+      service->OpenJob(PolicyJob("intermittent", PolicyKind::kIntermittent, 2));
+  std::size_t fulls = 0;
+  for (int i = 0; i < 10; ++i) {
+    auto sub = SubmitInterval(*intermittent, 8 * static_cast<std::size_t>(i + 1));
+    if (sub.kind == storage::CheckpointKind::kFull) ++fulls;
+    sub.future.get();
+    check("intermittent " + std::to_string(i));
+  }
+  EXPECT_GE(fulls, 2u) << "the intermittent job must re-baseline";
+
+  // A sharded job: cuts, a torn cut (a sub-checkpoint's MANIFEST lands
+  // torn), and a quota trip on a cut's dense Put (quota eviction runs).
+  dlrm::DlrmModel sharded_model(ShardedModelConfig());
+  data::DatasetConfig dcfg;
+  dcfg.seed = 6;
+  dcfg.num_dense = 4;
+  dcfg.tables = {{128, 2, 1.1}, {64, 1, 1.05}};
+  data::SyntheticDataset ds(dcfg);
+  int batch = 0;
+  const auto train = [&](dlrm::DlrmModel& model) {
+    model.TrainBatch(ds.GetBatch(batch, static_cast<std::uint64_t>(batch) * 32, 32));
+    ++batch;
+  };
+  ShardedJobConfig shcfg;
+  shcfg.name = "cuts";
+  shcfg.quantize = false;
+  shcfg.chunk_rows = 16;  // intermittent, gc, keep_cuts = 1
+  auto cuts = std::make_unique<ShardedJobHandle>(*service, sharded_model, shcfg);
+  const auto cut = [&] {
+    train(sharded_model);
+    return cuts->WriteCut(static_cast<std::uint64_t>(batch),
+                          static_cast<std::uint64_t>(batch) * 32);
+  };
+  for (int c = 1; c <= 3; ++c) {
+    ASSERT_TRUE(cut().committed);
+    check("cut " + std::to_string(c));
+  }
+  faults->TearNext(storage::Manifest::JobPrefix("cuts") + "ckpt/", "/MANIFEST");
+  EXPECT_FALSE(cut().committed);
+  ASSERT_EQ(faults->faulted().size(), 1u);
+  check("torn cut", {"cuts"});
+  {
+    train(sharded_model);
+    CutTicket ticket = cuts->SubmitCut(static_cast<std::uint64_t>(batch),
+                                       static_cast<std::uint64_t>(batch) * 32);
+    faults->TripQuotaOn(storage::Manifest::CutDenseKey("cuts", ticket.cut_epoch()));
+    ASSERT_TRUE(ticket.Wait().committed);
+    ASSERT_EQ(faults->faulted().size(), 2u);
+    check("cut after a quota trip on its dense blob");
+  }
+  ASSERT_TRUE(cut().committed);
+  check("cut after the quota trip");
+
+  // A delta log: a base, appends, compaction, a torn tail, its truncation,
+  // and a new base that takes the old one and its log.
+  dlrm::DlrmModel dl_model(ShardedModelConfig());
+  JobConfig dlcfg = RawJob("dl");
+  dlcfg.model = &dl_model;
+  dlcfg.policy = PolicyKind::kAlwaysFull;
+  dlcfg.quantize = false;
+  dlcfg.chunk_rows = 16;
+  dlcfg.gc = true;
+  auto dl = service->OpenJob(dlcfg);
+  const auto submit_base = [&] {
+    IntervalSubmission sub;
+    sub.interval_dirty = dl->tracker().HarvestInterval();
+    sub.reader_state = data::ReaderState{}.Encode();
+    sub.snapshot_fn = [&] {
+      return CreateSnapshot(dl_model, static_cast<std::uint64_t>(batch),
+                            static_cast<std::uint64_t>(batch) * 32, nullptr);
+    };
+    auto submitted = dl->Submit(std::move(sub));
+    submitted.future.get();
+    return submitted.checkpoint_id;
+  };
+  train(dl_model);
+  const std::uint64_t base = submit_base();
+  check("delta-log base");
+  {
+    DeltaLogConfig lcfg;
+    lcfg.base_checkpoint_id = base;
+    lcfg.quant.method = quant::Method::kNone;
+    auto log = dl->OpenDeltaLog(lcfg);
+    std::uint64_t it = 0;
+    const auto append = [&] {
+      train(dl_model);
+      log->Append(dl_model, dl->tracker().HarvestInterval(), ++it);
+    };
+    for (int i = 0; i < 4; ++i) append();
+    log->Flush();
+    check("delta-log appends");
+    log->CompactNow();
+    check("delta-log compaction");
+    append();
+    log->Flush();
+    faults->TearNext(storage::Manifest::DeltaLogPrefix("dl", base) + "seg/", "");
+    EXPECT_THROW(
+        {
+          append();
+          log->Flush();
+        },
+        storage::StoreUnavailable);
+    ASSERT_EQ(faults->faulted().size(), 3u);
+    check("delta-log torn tail");
+  }
+  dlrm::DlrmModel replayed(ShardedModelConfig());
+  EXPECT_TRUE(RestoreWithDeltaLog(service->store(), "dl", replayed, base,
+                                  /*truncate_torn=*/true)
+                  .replay.truncated);
+  check("delta-log truncated");
+  train(dl_model);
+  submit_base();
+  EXPECT_TRUE(service->store().List(storage::Manifest::DeltaLogPrefix("dl", base)).empty());
+  check("delta-log base replaced");
+
+  // Gc() and quota eviction.
+  keeper->SubmitRaw(MakeRequest("keeper", 4)).get();
+  keeper->SubmitRaw(MakeRequest("keeper", 5)).get();
+  check("keeper grew");
+  EXPECT_FALSE(service->Gc().jobs.empty());
+  check("Gc()");
+  keeper->SubmitRaw(MakeRequest("keeper", 6)).get();
+  EXPECT_GT(service->maintenance().EvictForQuota(std::uint64_t{1} << 40, "test"), 0u);
+  check("quota eviction");
+
+  // Restarts: the index starts empty, so every job disagrees until its first
+  // post-commit GC surveys it.
+  for (const bool reconcile : {true, false}) {
+    const std::string label = reconcile ? "reconciled restart" : "unreconciled restart";
+    cuts.reset();
+    keeper.reset();
+    oneshot.reset();
+    intermittent.reset();
+    dl.reset();
+    service.reset();
+    scfg.reconcile_on_start = reconcile;
+    service = std::make_unique<CheckpointService>(faults, scfg);
+    check(label, {"cuts", "dl", "intermittent", "keeper", "oneshot"});
+
+    oneshot = service->OpenJob(PolicyJob("oneshot", PolicyKind::kOneShot, 1));
+    oneshot->SetNextCheckpointId(*LatestCheckpointId(service->store(), "oneshot") + 1);
+    SubmitInterval(*oneshot, 8).future.get();
+    check(label + ", oneshot committed", {"cuts", "dl", "intermittent", "keeper"});
+
+    cuts = std::make_unique<ShardedJobHandle>(*service, sharded_model, shcfg);
+    ASSERT_TRUE(cut().committed);
+    check(label + ", cut committed", {"dl", "intermittent", "keeper"});
+
+    for (const std::string job : {"dl", "intermittent", "keeper"}) {
+      service->maintenance().GcAfterCommit(job);
+    }
+    check(label + ", every job GC'd");
+    keeper = service->OpenJob(RawJob("keeper"));
+    intermittent = service->OpenJob(PolicyJob("intermittent", PolicyKind::kIntermittent, 2));
+    dl = service->OpenJob(dlcfg);
+  }
+}
+
+// When the store disagrees with the index — an object deleted or added
+// beside the service's view — post-commit GC surveys (its Gets are visible)
+// and decides as a survey does: with the newest lineage's full manifest gone
+// it refuses and deletes nothing; with a foreign COORD it plans around it.
+TEST(Maintenance, PostCommitGcFallsBackWhenTheStoreDisagrees) {
+  auto backing = std::make_shared<storage::InMemoryStore>();
+  auto store = std::make_shared<ListRecordingStore>(backing);
+  CheckpointService service(store, SmallService());
+  auto handle = service.OpenJob(PolicyJob("fb", PolicyKind::kOneShot, 1));
+  SubmitInterval(*handle, 8).future.get();  // 1, full
+  SubmitInterval(*handle, 8).future.get();  // 2, incremental over 1
+  store->TakeGot();
+  SubmitInterval(*handle, 8).future.get();  // 3, incremental over 1; GC takes 2
+  EXPECT_TRUE(store->TakeGot().empty()) << "an agreeing index needs no Get";
+  EXPECT_FALSE(backing->Exists(storage::Manifest::ManifestKey("fb", 2)));
+
+  // The full manifest of the live lineage vanishes beside the view.
+  const auto full_manifest = *backing->Get(storage::Manifest::ManifestKey("fb", 1));
+  ASSERT_TRUE(backing->Delete(storage::Manifest::ManifestKey("fb", 1)));
+  auto s4 = SubmitInterval(*handle, 8);  // 4, incremental over the vanished 1
+  ASSERT_EQ(s4.kind, storage::CheckpointKind::kIncremental);
+  EXPECT_THROW(s4.future.get(), std::runtime_error) << "GC must refuse";
+  const auto got = store->TakeGot();
+  EXPECT_NE(std::find(got.begin(), got.end(), storage::Manifest::ManifestKey("fb", 4)),
+            got.end())
+      << "the GC must have surveyed";
+  EXPECT_TRUE(backing->Exists(storage::Manifest::ManifestKey("fb", 3)))
+      << "a refused GC deletes nothing";
+  EXPECT_TRUE(backing->Exists(storage::Manifest::ManifestKey("fb", 4)));
+
+  // Restored beside the view, and a foreign COORD added: the next GC surveys
+  // again (the List has keys the index never saw) and, the lineage whole,
+  // takes what retention allows.
+  backing->Put(storage::Manifest::ManifestKey("fb", 1), full_manifest);
+  storage::Manifest coord;
+  coord.kind = storage::CheckpointKind::kCoordinated;
+  coord.cut_epoch = 1;
+  coord.shard_map = {{0, 4}};
+  backing->Put(storage::Manifest::CutKey("fb", 1), coord.Encode());
+  auto s5 = SubmitInterval(*handle, 8);
+  ASSERT_EQ(s5.kind, storage::CheckpointKind::kFull) << "the refusal re-baselined";
+  s5.future.get();
+  EXPECT_FALSE(store->TakeGot().empty()) << "the GC must have surveyed";
+  const JobSurvey survey = SurveyJob(*backing, "fb");
+  EXPECT_EQ(survey.cuts.size(), 1u);
+  EXPECT_EQ(survey.ids, (std::vector<std::uint64_t>{1, 4, 5}))
+      << "the cut keeps 4's chain, and 5 is newer than the cut";
+  store->TakeGot();
+  SubmitInterval(*handle, 8).future.get();
+  EXPECT_TRUE(store->TakeGot().empty()) << "the survey healed the index";
+}
+
+// A publication object that rots in place beside the view leaves the List
+// as it was, so only a scrub can tell post-commit GC. A scrub that finds
+// the newest lineage's full manifest damaged drops the job's index
+// records; the next commit's GC surveys, refuses (its future fails, nothing
+// is deleted), and the policy re-baselines. Without the scrub's drop, that
+// GC planned from the stale record and took checkpoint 2, the last
+// restorable state but for the rotted full.
+TEST(Maintenance, UncleanScrubMakesTheNextPostCommitGcSurvey) {
+  auto backing = std::make_shared<storage::InMemoryStore>();
+  CheckpointService service(backing, SmallService());
+  auto handle = service.OpenJob(PolicyJob("rot", PolicyKind::kOneShot, 1));
+  SubmitInterval(*handle, 8).future.get();  // 1, full
+  SubmitInterval(*handle, 8).future.get();  // 2, incremental over 1
+  const std::string full = storage::Manifest::ManifestKey("rot", 1);
+  auto rotten = *backing->Get(full);
+  rotten[3] ^= 0x40;  // the format version's high byte: 1 no longer decodes
+  backing->Put(full, std::move(rotten));
+
+  EXPECT_FALSE(service.maintenance().ScrubJobNow("rot").clean());
+  auto s3 = SubmitInterval(*handle, 8);  // 3, incremental over the rotted 1
+  ASSERT_EQ(s3.kind, storage::CheckpointKind::kIncremental);
+  EXPECT_THROW(s3.future.get(), std::runtime_error) << "GC must refuse";
+  EXPECT_TRUE(backing->Exists(storage::Manifest::ManifestKey("rot", 2)))
+      << "a refused GC deletes nothing";
+  auto s4 = SubmitInterval(*handle, 8);
+  EXPECT_EQ(s4.kind, storage::CheckpointKind::kFull) << "the policy must re-baseline";
+  EXPECT_NO_THROW(s4.future.get());
+}
+
+// A plain job's post-commit GC plans from what the service wrote plus one
+// List of the job's prefix: from the third commit on, the commit stage
+// reads no MANIFEST back. Before the service's store view indexed the
+// lineage it writes, every commit's GC Got each MANIFEST of the job.
+TEST(Maintenance, PostCommitGcReadsNoManifest) {
+  auto store =
+      std::make_shared<ListRecordingStore>(std::make_shared<storage::InMemoryStore>());
+  CheckpointService service(store, SmallService());
+  auto handle = service.OpenJob(PolicyJob("plain", PolicyKind::kIntermittent, 1));
+  const std::string prefix = storage::Manifest::JobPrefix("plain");
+  for (int i = 1; i <= 8; ++i) {
+    store->TakeGot();
+    store->TakeListed();
+    SubmitInterval(*handle, 4 * static_cast<std::size_t>(i)).future.get();
+    const auto got = store->TakeGot();
+    const auto listed = store->TakeListed();
+    if (i < 3) continue;
+    EXPECT_TRUE(got.empty()) << "commit " << i << "'s GC Got " << got.size()
+                             << " object(s), the first " << got.front();
+    EXPECT_EQ(std::count(listed.begin(), listed.end(), prefix), 1) << "commit " << i;
+  }
+  EXPECT_LE(SurveyJob(*store, "plain").ids.size(), 8u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <future>
@@ -19,6 +20,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/maintenance.h"
@@ -154,6 +156,52 @@ class GatedPutStore : public storage::ObjectStore {
   std::mutex mu_;
   std::condition_variable cv_;
   bool open_ = false;
+};
+
+// Records the keys it Gets and the prefixes it Lists: the probe for what a
+// cut's GC and a restore read back.
+class ReadRecordingStore : public storage::ObjectStore {
+ public:
+  struct Reads {
+    std::vector<std::string> gets;
+    std::vector<std::string> lists;
+  };
+
+  void Put(const std::string& key, std::vector<std::uint8_t> data) override {
+    inner_.Put(key, std::move(data));
+  }
+  std::optional<std::vector<std::uint8_t>> Get(const std::string& key) override {
+    {
+      std::lock_guard lock(mu_);
+      reads_.gets.push_back(key);
+    }
+    return inner_.Get(key);
+  }
+  bool Exists(const std::string& key) override { return inner_.Exists(key); }
+  bool Delete(const std::string& key) override { return inner_.Delete(key); }
+  std::vector<std::string> List(const std::string& prefix) override {
+    {
+      std::lock_guard lock(mu_);
+      reads_.lists.push_back(prefix);
+    }
+    return inner_.List(prefix);
+  }
+  std::uint64_t TotalBytes() override { return inner_.TotalBytes(); }
+  storage::StoreStats Stats() override { return inner_.Stats(); }
+  std::optional<std::uint64_t> SizeOf(const std::string& key) override {
+    return inner_.SizeOf(key);
+  }
+
+  // What was read since the last call.
+  Reads Take() {
+    std::lock_guard lock(mu_);
+    return std::exchange(reads_, {});
+  }
+
+ private:
+  storage::InMemoryStore inner_;
+  std::mutex mu_;
+  Reads reads_;
 };
 
 // The tentpole differential: one consistent cut written as 4 shard
@@ -565,6 +613,64 @@ TEST(ShardedCheckpoint, StrayKeysUnderCkptAndCutAreSkipped) {
   ASSERT_TRUE(cut.committed);
   EXPECT_EQ(cut.cut_epoch, 1u);
   for (const auto& e : cut.shard_map) EXPECT_GT(e.checkpoint_id, 1u);
+}
+
+// A committed cut's GC plans from what the service wrote plus one List of
+// the job's prefix: on an 8-shard intermittent job (the benchmark's
+// shard-failover shape), Wait() reads no MANIFEST or COORD back from the
+// third cut on. Before the service's store view indexed the lineage it
+// writes, every cut's GC Got each MANIFEST and COORD of the job.
+TEST(ShardedCheckpoint, CutGcReadsNoManifest) {
+  auto store = std::make_shared<ReadRecordingStore>();
+  dlrm::DlrmModel model(SmallModel(8));
+  CheckpointService service(store);
+  ShardedJobConfig cfg = ShardedConfig("gc", /*quantize=*/false);
+  cfg.gc = true;  // intermittent, keep_cuts = 1
+  ShardedJobHandle handle(service, model, cfg);
+  ASSERT_EQ(handle.num_shards(), 8u);
+  const std::string prefix = storage::Manifest::JobPrefix("gc");
+  for (int c = 1; c <= 8; ++c) {
+    TrainBatches(model, 2 * (c - 1), 2 * c);
+    CutTicket ticket = handle.SubmitCut(static_cast<std::uint64_t>(2 * c),
+                                        static_cast<std::uint64_t>(64 * c));
+    store->Take();
+    const CutResult cut = ticket.Wait();
+    const auto reads = store->Take();
+    ASSERT_TRUE(cut.committed) << "cut " << c;
+    if (c < 3) continue;
+    EXPECT_TRUE(reads.gets.empty())
+        << "cut " << c << "'s GC Got " << reads.gets.size() << " object(s), the first "
+        << reads.gets.front();
+    EXPECT_EQ(std::count(reads.lists.begin(), reads.lists.end(), prefix), 1) << "cut " << c;
+  }
+  // Retention ran all along: one cut left, and it restores the model.
+  EXPECT_EQ(SurveyJob(*store, "gc").cuts.size(), 1u);
+  dlrm::DlrmModel restored(SmallModel(8));
+  (void)RestoreShardedModel(*store, "gc", restored);
+  ExpectModelsEqual(model, restored);
+}
+
+// A full restore reads the cut's COORD once and shares it with the shard
+// restores (it used to load it again through RestorePartial: two Gets).
+TEST(ShardedCheckpoint, FullRestoreReadsTheCoordOnce) {
+  auto store = std::make_shared<ReadRecordingStore>();
+  dlrm::DlrmModel model(SmallModel());
+  {
+    CheckpointService service(store);
+    ShardedJobHandle handle(service, model, ShardedConfig("once", /*quantize=*/false));
+    TrainBatches(model, 0, 4);
+    ASSERT_TRUE(handle.WriteCut(4, 128).committed);
+  }
+  const std::string coord = storage::Manifest::CutKey("once", 1);
+  for (const bool newest : {true, false}) {
+    store->Take();
+    dlrm::DlrmModel restored(SmallModel());
+    (void)RestoreShardedModel(*store, "once", restored,
+                              newest ? std::nullopt : std::optional<std::uint64_t>(1));
+    const auto gets = store->Take().gets;
+    EXPECT_EQ(std::count(gets.begin(), gets.end(), coord), 1) << "newest " << newest;
+    ExpectModelsEqual(model, restored);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <memory>
 
+#include "storage/fault_injection.h"
+#include "storage/manifest.h"
+
 namespace cnr::storage {
 namespace {
 
@@ -123,6 +126,66 @@ TEST(AccountingStore, SeedingIsNotQuotaChecked) {
   // delete): Delete reports it absent and frees nothing.
   EXPECT_FALSE(store.Delete("jobs/a/old"));
   EXPECT_EQ(store.TrackedBytes(), 150u);
+}
+
+// The lineage index keeps a header for MANIFEST and COORD objects only,
+// decoded from the bytes written: an undecodable one is kept as unreadable,
+// and a Put or Delete that throws forgets the key.
+TEST(AccountingStore, LineageIndexRecordsPublicationObjectsOnly) {
+  auto inner = std::make_shared<InMemoryStore>();
+  auto faulty = std::make_shared<FaultInjectionStore>(inner, FaultConfig{});
+  AccountingStore store(faulty, /*quota_bytes=*/1 << 20);
+
+  Manifest m;
+  m.checkpoint_id = 2;
+  m.kind = CheckpointKind::kIncremental;
+  m.parent_id = 1;
+  m.dense_key = Manifest::DenseKey("a", 2);
+  m.dense_bytes = 5;
+  m.chunks.push_back({Manifest::ChunkKey("a", 2, 0, 0, 0), 0, 0, 4, 30});
+  const auto manifest = m.Encode();
+  store.Put(Manifest::ManifestKey("a", 2), manifest);
+  Manifest cut;
+  cut.kind = CheckpointKind::kCoordinated;
+  cut.cut_epoch = 7;
+  cut.dense_key = Manifest::CutDenseKey("a", 7);
+  cut.dense_bytes = 9;
+  cut.shard_map = {{0, 2}, {1, 3}};
+  store.Put(Manifest::CutKey("a", 7), cut.Encode());
+  store.Put(Manifest::ChunkKey("a", 2, 0, 0, 0), Bytes(30));  // not a publication
+  store.Put(Manifest::ManifestKey("a", 3), Bytes(3));         // undecodable
+  store.Put(Manifest::ManifestKey("b", 1), manifest);         // another job
+
+  auto records = store.Publications(Manifest::JobPrefix("a"));
+  ASSERT_EQ(records.size(), 3u);
+  const PublicationRecord& r2 = records.at(Manifest::ManifestKey("a", 2));
+  EXPECT_TRUE(r2.readable);
+  EXPECT_EQ(r2.id, 2u);
+  EXPECT_EQ(r2.kind, CheckpointKind::kIncremental);
+  EXPECT_EQ(r2.parent_id, 1u);
+  EXPECT_EQ(r2.claimed_bytes, 35u);
+  EXPECT_EQ(r2.object_bytes, manifest.size());
+  const PublicationRecord& r7 = records.at(Manifest::CutKey("a", 7));
+  EXPECT_TRUE(r7.readable);
+  EXPECT_EQ(r7.id, 7u);
+  EXPECT_EQ(r7.dense_key, Manifest::CutDenseKey("a", 7));
+  EXPECT_EQ(r7.dense_bytes, 9u);
+  ASSERT_EQ(r7.shard_map.size(), 2u);
+  EXPECT_EQ(r7.shard_map[1].checkpoint_id, 3u);
+  EXPECT_FALSE(records.at(Manifest::ManifestKey("a", 3)).readable);
+
+  // A Delete forgets the key; so do a quota rejection and a failed Put.
+  EXPECT_TRUE(store.Delete(Manifest::ManifestKey("a", 3)));
+  EXPECT_THROW(store.Put(Manifest::CutKey("a", 7), Bytes(2 << 20)), QuotaExceeded);
+  faulty->SetConfig(FaultConfig{.fail_nth_put = 1});
+  EXPECT_THROW(store.Put(Manifest::ManifestKey("a", 2), manifest), StoreUnavailable);
+  EXPECT_TRUE(store.Publications(Manifest::JobPrefix("a")).empty());
+  EXPECT_TRUE(inner->Exists(Manifest::ManifestKey("a", 2)))
+      << "the object outlives its record: a List now disagrees with the index";
+
+  // A survey's records replace a prefix's.
+  store.ReplacePublications(Manifest::JobPrefix("b"), {});
+  EXPECT_TRUE(store.Publications("jobs/").empty());
 }
 
 TEST(AccountingStore, NullBackingThrows) {

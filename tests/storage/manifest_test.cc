@@ -140,6 +140,15 @@ TEST(ManifestKeys, CutKeysAreSiblingsOfCkpt) {
   // Cut keys must never collide with checkpoint-id scans over */MANIFEST.
   EXPECT_EQ(Manifest::CutKey("j1", 5).find("/MANIFEST"), std::string::npos);
   EXPECT_EQ(Manifest::CutPrefix("j1", 5).find(Manifest::JobPrefix("j1")), 0u);
+  // The publication-key predicates tell the two objects apart from the rest.
+  EXPECT_TRUE(Manifest::IsCutKey(Manifest::CutKey("j1", 5)));
+  EXPECT_FALSE(Manifest::IsManifestKey(Manifest::CutKey("j1", 5)));
+  EXPECT_TRUE(Manifest::IsManifestKey(Manifest::ManifestKey("j1", 5)));
+  EXPECT_FALSE(Manifest::IsCutKey(Manifest::ManifestKey("j1", 5)));
+  EXPECT_TRUE(Manifest::IsPublicationKey(Manifest::CutKey("j1", 5)));
+  EXPECT_TRUE(Manifest::IsPublicationKey(Manifest::ManifestKey("j1", 5)));
+  EXPECT_FALSE(Manifest::IsPublicationKey(Manifest::CutDenseKey("j1", 5)));
+  EXPECT_FALSE(Manifest::IsPublicationKey(Manifest::DenseKey("j1", 5)));
 }
 
 TEST(Manifest, TotalBytesSumsChunksAndDense) {

@@ -12,12 +12,16 @@ metrics.
     python3 tools/bench_diff.py BENCH_*.json
 
 `record` runs perfbench/run.py in the parent checkout (--base-dir, a git
-checkout of the parent commit) and in this one, one untraced pair per seed
+checkout of the parent commit) and for this one, one untraced pair per seed
 with the side that runs first alternating, then one traced run per side for
 each traced seed, and writes BENCH_<workload>.json here. Every run lasts
 BENCHMARK.json's run_seconds; the change side is this checkout's HEAD plus
 its worktree, identified by a digest of the files the benchmark builds
-from. Run it on an otherwise idle machine.
+from. The change side does not run inside this checkout: its build inputs
+(src/, perfbench/) are copied into a fresh directory beside --base-dir, so
+both sides build and run from sibling directories, and the copy is removed
+afterwards. The BENCH file records the directory each side ran in. Run it
+on an otherwise idle machine.
 
 The default mode prints parent ("before") against change ("after") for each
 workload x end-to-end metric, with the pairs the change won, and flags a
@@ -39,9 +43,11 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Metrics a seed fixes exactly: a change that moves none of the bytes,
@@ -128,11 +134,35 @@ def checkout_sha(checkout):
     return sha + "+worktree" if git("status", "--porcelain", cwd=checkout) else sha
 
 
+def copy_build_inputs(base_dir):
+    """A fresh directory beside `base_dir` holding this checkout's src/ and
+    perfbench/, for the change side to build and run in."""
+    dest = tempfile.mkdtemp(prefix=os.path.basename(base_dir) + "-change-",
+                            dir=os.path.dirname(base_dir))
+    for top in ("src", "perfbench"):
+        shutil.copytree(os.path.join(ROOT, top), os.path.join(dest, top),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
 def record(args):
+    base_dir = os.path.abspath(args.base_dir).rstrip(os.sep)
+    change_dir = copy_build_inputs(base_dir)
+    try:
+        return record_in(args, base_dir, change_dir)
+    finally:
+        shutil.rmtree(change_dir, ignore_errors=True)
+
+
+def record_in(args, base_dir, change_dir):
     bench = load_benchmark()
     seconds = bench["run_seconds"]
-    sides = {"parent": os.path.abspath(args.base_dir), "change": ROOT}
+    sides = {"parent": base_dir, "change": change_dir}
     digests = {side: tree_digest(path) for side, path in sides.items()}
+    if digests["change"] != tree_digest(ROOT):
+        print(f"the copy in {change_dir} differs from this checkout; nothing run",
+              file=sys.stderr)
+        return 1
     runs = []
 
     def one(side, seed, trace, order):
@@ -161,9 +191,9 @@ def record(args):
             merged.append({"metrics": metrics})
         return {k: v["median"] for k, v in summarize(merged).items()}
 
-    for side, path in sides.items():
+    for side, path in (*sides.items(), ("change", ROOT)):
         if tree_digest(path) != digests[side]:
-            print(f"{side} checkout changed during the recording; nothing written",
+            print(f"{side} tree {path} changed during the recording; nothing written",
                   file=sys.stderr)
             return 1
     doc = {
@@ -173,8 +203,10 @@ def record(args):
         "seeds": args.seeds,
         "traced_seeds": args.traced_seeds,
         "nproc": os.cpu_count(),
-        "parent": {"sha": checkout_sha(sides["parent"]), "tree_sha256": digests["parent"]},
-        "change": {"sha": checkout_sha(ROOT), "tree_sha256": digests["change"]},
+        "parent": {"sha": checkout_sha(sides["parent"]), "tree_sha256": digests["parent"],
+                   "dir": sides["parent"]},
+        "change": {"sha": checkout_sha(ROOT), "tree_sha256": digests["change"],
+                   "dir": sides["change"]},
         "summary": {
             "parent": summarize(pick("parent", 0)),
             "change": summarize(pick("change", 0)),
